@@ -1,9 +1,9 @@
 """Command-line surface: fit, predict, synth, bench, diagnose.
 
-Every command is deterministic given its flags; reruns produce
-byte-identical outputs.  Outputs are computed fully in memory and
-written atomically (temp file + rename), so error paths never leave a
-partial success file.  Exit codes: 0 success, 2 I/O/parse/config
+Every command is deterministic given its flags; reruns at the same BLAS
+thread count produce byte-identical outputs.  Outputs are computed fully
+in memory and written atomically (temp file + rename), so error paths
+never leave a partial success file.  Exit codes: 0 success, 2 I/O/parse/config
 errors, 3 dimension mismatch.
 """
 

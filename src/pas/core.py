@@ -8,15 +8,20 @@ strictly below the threshold.  Each update is the global minimizer of
 its block, so the unified objective never increases within a stage.
 A stage schedule raises the anchoring threshold from the 0% to the 100%
 distance quantile, admitting target samples in order of reliability.
+
+The distance kernel (compute_distances) gets all K class columns from one
+GEMM against the stacked class means and bases, and recomputes with the
+exact per-class residual every cell small enough to lose digits to that
+expansion.
 """
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -25,6 +30,13 @@ from .errors import (
     RangeError,
 )
 from .subspace import Subspace, fit_pca, residuals_sq
+
+# The expanded residual loses about d * eps of ||x - c||^2 + ||mu_k - c||^2
+# to cancellation, so a cell above this fraction of that sum keeps a
+# relative error below about d * eps / 1e-5 (5.7e-9 at d = 256; random
+# stress cases up to d = 259 and offsets up to 1e5 stayed within 1e-10).
+# Cells at or below it are recomputed with the exact per-class residual.
+EXACT_FALLBACK_REL = 1e-5
 
 
 @dataclass
@@ -161,14 +173,51 @@ def _check_features(X, name="features"):
 
 
 def compute_distances(model, X_t):
-    """m x K matrix of squared residuals of each row to each class subspace."""
+    """m x K matrix of squared residuals of each row to each class subspace.
+
+    With c the mean of the rows of X_t, one GEMM gives (x - c) against
+    every centred mean mu_k - c and every basis column b, and each cell is
+    ||x - c||^2 - 2 (x - c)'(mu_k - c) + ||mu_k - c||^2
+    - sum over the columns b of class k of ((x - c)'b - (mu_k - c)'b)^2,
+    clamped at 0.  Cells at or below EXACT_FALLBACK_REL times
+    ||x - c||^2 + ||mu_k - c||^2 are recomputed with residuals_sq.
+    """
     X_t = _check_features(X_t, "target features")
-    if X_t.shape[1] != model.feature_dim:
+    d = model.feature_dim
+    if X_t.shape[1] != d:
         raise DimensionMismatch("feature dim %d does not match model dim %d"
-                                % (X_t.shape[1], model.feature_dim))
-    dists = np.empty((X_t.shape[0], model.num_classes))
-    for k, S in enumerate(model.subspaces):
-        dists[:, k] = residuals_sq(S, X_t)
+                                % (X_t.shape[1], d))
+    subspaces = model.subspaces
+    K = len(subspaces)
+    dims = [S.effective_dim for S in subspaces]
+    # filled in place so the GEMM operand is C-ordered whatever the bases'
+    # order, which keeps the products bitwise reproducible
+    stacked = np.empty((d, K + sum(dims)))
+    stacked[:, :K] = np.array([S.mean for S in subspaces]).T
+    stacked[:, K:] = np.hstack([S.basis for S in subspaces])
+    # the centre comes from the rows, not the model: a class whose subspace
+    # did not change between solver iterations then keeps bitwise-equal
+    # distances, so a row whose distance set the threshold is not anchored
+    # by rounding (anchoring is the strict c < lam); an empty X_t gets 0
+    centre = X_t.sum(axis=0) / max(X_t.shape[0], 1)
+    stacked[:, :K] -= centre[:, None]
+    means, bases = stacked[:, :K], stacked[:, K:]
+    owner = np.repeat(np.arange(K), dims)
+
+    X_c = X_t - centre
+    G = X_c @ stacked
+    x_sq = np.einsum("ij,ij->i", X_c, X_c)
+    mu_sq = np.einsum("ij,ij->j", means, means)
+    proj = G[:, K:] - np.einsum("ij,ij->j", means[:, owner], bases)
+    in_class = np.zeros((owner.size, K))
+    in_class[np.arange(owner.size), owner] = 1.0
+    scale = x_sq[:, None] + mu_sq
+    dists = np.maximum(scale - 2.0 * G[:, :K] - (proj * proj) @ in_class, 0.0)
+
+    low = dists <= EXACT_FALLBACK_REL * scale
+    for k in np.flatnonzero(low.any(axis=0)):
+        rows = np.flatnonzero(low[:, k])
+        dists[rows, k] = residuals_sq(subspaces[k], X_t[rows])
     return dists
 
 
@@ -227,6 +276,12 @@ def _source_residual_total(model, X_s, labels):
     return total
 
 
+def _objective_value(model, X_s, labels, dists, W, v, lam):
+    target_term = float((v * (W * dists).sum(axis=1)).sum())
+    return (_source_residual_total(model, X_s, labels)
+            + target_term - lam * float(v.sum()))
+
+
 def objective(model, X_s, labels, X_t, state):
     """Unified objective: source residuals + anchored target residuals - lam * #anchored."""
     X_s = _check_features(X_s, "source features")
@@ -235,10 +290,8 @@ def objective(model, X_s, labels, X_t, state):
     if W.shape != dists.shape:
         raise DimensionMismatch("membership shape %r does not match distances %r"
                                 % (W.shape, dists.shape))
-    v = state.anchors
-    target_term = float((v * (W * dists).sum(axis=1)).sum())
-    return (_source_residual_total(model, X_s, labels)
-            + target_term - state.threshold * float(v.sum()))
+    return _objective_value(model, X_s, labels, dists, W, state.anchors,
+                            state.threshold)
 
 
 def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None):
@@ -271,6 +324,9 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None):
     Returns (model, state, history) where history holds the objective
     after every full iteration; it is nonincreasing up to roundoff
     because each block update is a global minimizer given the others.
+    Once (W, v) repeats the previous state's, the next iteration would
+    rebuild the same model, state and objective bit for bit, so the loop
+    records that objective once more without running it and stops.
     """
     config = config or PasConfig()
     X_s = _check_features(X_s, "source features")
@@ -288,14 +344,20 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None):
         W = assign_memberships(dists)
         c = dists.min(axis=1)
         v = anchor(c, lam)
+        last_state = state
         state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
-        obj = (_source_residual_total(model, X_s, labels)
-               + float((v * c).sum()) - lam * float(v.sum()))
-        history.append(obj)
+        history.append(_objective_value(model, X_s, labels, dists, W, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
+        # the refit reads only (W, v), so a repeat is a fixed point
+        if (last_state is not None
+                and np.array_equal(last_state.memberships, W)
+                and np.array_equal(last_state.anchors, v)):
+            if len(history) < config.inner_max_iters:
+                history.append(history[-1])
+            break
     return model, state, history
 
 
@@ -380,31 +442,48 @@ def model_to_dict(model):
     }
 
 
+def _subspace_from_dict(entry, d):
+    mean = np.asarray(entry["mean"], dtype=float)
+    spectrum = np.asarray(entry["spectrum"], dtype=float)
+    basis = np.asarray(entry["basis"], dtype=float)
+    if mean.shape != (d,):
+        raise ConfigError("mean has shape %r, expected (%d,)" % (mean.shape, d))
+    if spectrum.ndim != 1:
+        raise ConfigError("spectrum must be a flat list")
+    r = spectrum.shape[0]
+    if basis.shape != (d * r,):
+        raise ConfigError("basis has shape %r, expected %d x %d values"
+                          % (basis.shape, d, r))
+    for name, values in (("mean", mean), ("basis", basis),
+                         ("spectrum", spectrum)):
+        if not np.isfinite(values).all():
+            raise ConfigError("%s contains NaN/Inf" % name)
+    # C order, as fit_pca returns it: the residual products then take the
+    # same BLAS path, so a reload reproduces every distance bit for bit
+    basis = np.ascontiguousarray(basis.reshape((d, r), order="F"))
+    return Subspace(mean=mean, basis=basis, spectrum=spectrum)
+
+
 def model_from_dict(doc):
+    """Rebuild a model from its JSON document, raising ConfigError on a
+    missing field, inconsistent shape or non-finite value."""
     try:
         d = int(doc["feature_dim"])
+        num_classes = int(doc["num_classes"])
+        if d < 1 or num_classes < 1:
+            raise ConfigError("feature_dim and num_classes must be >= 1, "
+                              "got %d and %d" % (d, num_classes))
         config = PasConfig(**doc["config"])
-        subspaces = []
-        for entry in doc["subspaces"]:
-            mean = np.asarray(entry["mean"], dtype=float)
-            spectrum = np.asarray(entry["spectrum"], dtype=float)
-            d_eff = spectrum.shape[0]
-            basis = np.asarray(entry["basis"], dtype=float).reshape((d, d_eff),
-                                                                    order="F")
-            subspaces.append(Subspace(mean=mean, basis=basis, spectrum=spectrum))
+        subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed model document: %s" % exc) from exc
-    if len(subspaces) != int(doc["num_classes"]):
+    if len(subspaces) != num_classes:
         raise ConfigError("subspace count does not match num_classes")
     return PasModel(subspaces=subspaces, config=config)
 
 
 def save_model(model, path):
-    data = json.dumps(model_to_dict(model), indent=2)
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(data + "\n")
-    os.replace(tmp, path)
+    data.atomic_write_text(path, json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def load_model(path):

@@ -13,6 +13,7 @@ seeded random direction, and fresh isotropic noise.  Keeping the sample
 points paired makes the zero-shift case exactly class-mean preserving.
 """
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
@@ -272,7 +273,14 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_bytes(path, data):
+    """Write via a temp file and a rename; on any failure the temp file is
+    removed and path is left as it was."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -237,3 +237,46 @@ def test_error_messages_on_stderr(tmp_path, capsys):
                  "--out", str(tmp_path / "o.txt")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+
+
+def _drop_num_classes(doc):
+    del doc["num_classes"]
+
+
+def _no_classes(doc):
+    doc["num_classes"] = 0
+    doc["subspaces"] = []
+
+
+def _short_mean(doc):
+    doc["subspaces"][0]["mean"].pop()
+
+
+def _basis_wrong_size(doc):
+    doc["subspaces"][1]["basis"].append(0.5)
+
+
+def _spectrum_wrong_length(doc):
+    doc["subspaces"][0]["spectrum"].append(0.1)
+
+
+def _nonfinite_basis(doc):
+    doc["subspaces"][2]["basis"][0] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
+    _spectrum_wrong_length, _nonfinite_basis])
+def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
+    prefix = make_data(tmp_path)
+    model, _ = run_fit(tmp_path, prefix, step="1.0")
+    doc = json.loads(open(model).read())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = str(tmp_path / "pred.txt")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(bad),
+                 "--features", prefix + "_target.csv", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out)

@@ -4,6 +4,7 @@ import pytest
 from pas.data import (
     Shift,
     SynthConfig,
+    atomic_write_text,
     load_features,
     load_labeled,
     load_labels,
@@ -212,3 +213,12 @@ def test_rotation_preserves_norms():
         ns = np.linalg.norm(src.features[src.labels == k].mean(axis=0))
         nt = np.linalg.norm(tgt.features[tgt.true_labels == k].mean(axis=0))
         assert nt == pytest.approx(ns, rel=1e-9)
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write_text(str(target), "text\n")
+    assert target.is_dir()
+    assert list(tmp_path.glob("*.tmp.*")) == []
