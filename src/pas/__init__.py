@@ -9,7 +9,6 @@ threshold.  The fitted subspaces double as the target classifier.
 from .baselines import nn1_classify, pas_c
 from .core import (
     AnchorState,
-    FitTrace,
     PasConfig,
     PasModel,
     SourceLabels,
@@ -44,7 +43,7 @@ from .subspace import Subspace, fit_pca, project, residual_sq, residuals_sq
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorState", "DensityRatioModel", "FitTrace", "LabeledDataset",
+    "AnchorState", "DensityRatioModel", "LabeledDataset",
     "PasConfig", "PasModel", "Shift", "SourceLabels", "StageRecord",
     "Subspace", "SynthConfig", "UnlabeledDataset", "adr", "anchor",
     "anchoring_report", "assign_memberships", "compute_distances",

@@ -9,9 +9,7 @@ errors, 3 dimension mismatch.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -139,16 +137,9 @@ def cmd_bench(args):
         raise ConfigError("--seeds must be >= 1")
     if args.suite not in SUITES:
         raise ConfigError("unknown suite %r" % (args.suite,))
-    threads = int(os.environ.get("PAS_THREADS", "1"))
-    seeds = list(range(args.seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _bench_one(args.suite, s), seeds))
-    else:
-        results = [_bench_one(args.suite, s) for s in seeds]
     rows = []
-    for seed, res in zip(seeds, results):
-        for method, accuracy in res.items():
+    for seed in range(args.seeds):
+        for method, accuracy in _bench_one(args.suite, seed).items():
             rows.append((method, seed, float(accuracy)))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out_csv, ["method", "seed", "accuracy"], rows)

@@ -13,11 +13,18 @@ The distance kernel (compute_distances) gets all K class columns from one
 GEMM against the stacked class means and bases, and recomputes with the
 exact per-class residual every cell small enough to lose digits to that
 expansion.
+
+The solver keeps a per-class refit memo for the life of one fit: a class
+whose anchored target rows are unchanged keeps its subspace (and its
+source residual total) bit for bit instead of being refitted, and when no
+class changed the previous distance matrix is reused.  fit_pca is
+deterministic and the distance kernel depends only on the model and the
+target rows, so every reused value is the one a recomputation would give.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +44,13 @@ from .subspace import Subspace, fit_pca, residuals_sq
 # stress cases up to d = 259 and offsets up to 1e5 stayed within 1e-10).
 # Cells at or below it are recomputed with the exact per-class residual.
 EXACT_FALLBACK_REL = 1e-5
+
+# Largest |B'B - I| entry a loaded basis may show.  fit_pca's Gram route
+# (fewer rows than features) normalizes A'u by the square root of its
+# eigenvalue, which loses orthonormality in proportion to eps / RANK_TOL
+# (2.2e-4) for an eigenvalue at the rank cutoff; 13,500 nearly rank-deficient
+# probe fits reached 3.1e-4.  A genuinely wrong basis is off by order 1.
+BASIS_ORTHONORMAL_TOL = 1e-3
 
 
 @dataclass
@@ -142,25 +156,6 @@ class StageRecord:
     anchored: int
     objective: float
     pseudo_accuracy: float | None = None
-
-
-@dataclass
-class FitTrace:
-    """Per-stage log of the progressive schedule."""
-
-    records: list = field(default_factory=list)
-
-    def append(self, record):
-        self.records.append(record)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
 
 def _check_features(X, name="features"):
@@ -276,10 +271,9 @@ def _source_residual_total(model, X_s, labels):
     return total
 
 
-def _objective_value(model, X_s, labels, dists, W, v, lam):
+def _objective_value(source_total, dists, W, v, lam):
     target_term = float((v * (W * dists).sum(axis=1)).sum())
-    return (_source_residual_total(model, X_s, labels)
-            + target_term - lam * float(v.sum()))
+    return source_total + target_term - lam * float(v.sum())
 
 
 def objective(model, X_s, labels, X_t, state):
@@ -290,35 +284,84 @@ def objective(model, X_s, labels, X_t, state):
     if W.shape != dists.shape:
         raise DimensionMismatch("membership shape %r does not match distances %r"
                                 % (W.shape, dists.shape))
-    return _objective_value(model, X_s, labels, dists, W, state.anchors,
-                            state.threshold)
+    return _objective_value(_source_residual_total(model, X_s, labels), dists,
+                            W, state.anchors, state.threshold)
 
 
-def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None):
+class _ClassRefits:
+    """Per-class refit memo for the life of one fit.
+
+    Holds each class's source rows, and, per class, the anchored target
+    row indices its current subspace was fitted on, that subspace and its
+    source residual total (computed when first asked for).  dists is the
+    distance matrix of the current subspaces once the solver has set it.
+    """
+
+    def __init__(self, X_s, labels):
+        if labels.labels.shape[0] != X_s.shape[0]:
+            raise RangeError("label count %d does not match %d source rows"
+                             % (labels.labels.shape[0], X_s.shape[0]))
+        self.blocks = [X_s[idx] for idx in _source_groups(labels)]
+        K = len(self.blocks)
+        self.anchored = [None] * K
+        self.subspaces = [None] * K
+        self.residuals = [None] * K
+        self.changed = False
+        self.dists = None
+
+    def refit(self, X_t, state, dim):
+        """Fit each class on its source rows followed by the target rows
+        with its membership and anchor indicator 1, in row order; a class
+        whose anchored rows equal those of its stored subspace keeps it.
+        Sets changed to whether any class was refitted."""
+        K = len(self.blocks)
+        picked = [np.zeros(0, dtype=np.intp)] * K
+        if state is not None and X_t is not None:
+            anchored = state.anchors == 1
+            picked = [np.flatnonzero((state.memberships[:, k] == 1) & anchored)
+                      for k in range(K)]
+        self.changed = False
+        for k, (block, rows_t) in enumerate(zip(self.blocks, picked)):
+            if (self.subspaces[k] is not None
+                    and np.array_equal(rows_t, self.anchored[k])):
+                continue
+            rows = np.vstack([block, X_t[rows_t]]) if rows_t.size else block
+            self.subspaces[k] = fit_pca(rows, dim=dim)
+            self.anchored[k] = rows_t
+            self.residuals[k] = None
+            self.changed = True
+        return list(self.subspaces)
+
+    def source_total(self):
+        """Source residual total of the current subspaces, summed in class
+        order from 0.0 as _source_residual_total sums it."""
+        total = 0.0
+        for k, block in enumerate(self.blocks):
+            if self.residuals[k] is None:
+                self.residuals[k] = float(residuals_sq(self.subspaces[k], block).sum())
+            total += self.residuals[k]
+        return total
+
+
+def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
+                        _refits=None):
     """Fit one subspace per class on its source rows plus anchored targets.
 
     For class k the fitting set is the source rows labeled k followed by
     the target rows with membership k and anchor indicator 1, in their
     original row order.  With no state (or nothing anchored) this is the
-    plain per-class source PCA.
+    plain per-class source PCA.  The solver passes its per-fit memo as
+    _refits, so only the classes whose anchored rows changed are refitted.
     """
     config = config or PasConfig()
-    X_s = _check_features(X_s, "source features")
-    if labels.labels.shape[0] != X_s.shape[0]:
-        raise RangeError("label count %d does not match %d source rows"
-                         % (labels.labels.shape[0], X_s.shape[0]))
-    subspaces = []
-    for k, idx in enumerate(_source_groups(labels)):
-        rows = X_s[idx]
-        if state is not None and X_t is not None:
-            picked = (state.memberships[:, k] == 1) & (state.anchors == 1)
-            if picked.any():
-                rows = np.vstack([rows, X_t[picked]])
-        subspaces.append(fit_pca(rows, dim=config.dim))
-    return PasModel(subspaces=subspaces, config=config)
+    if _refits is None:
+        _refits = _ClassRefits(_check_features(X_s, "source features"), labels)
+    return PasModel(subspaces=_refits.refit(X_t, state, config.dim),
+                    config=config)
 
 
-def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None):
+def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
+                _refits=None):
     """Alternate the block updates at a fixed threshold until convergence.
 
     Returns (model, state, history) where history holds the objective
@@ -327,6 +370,7 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None):
     Once (W, v) repeats the previous state's, the next iteration would
     rebuild the same model, state and objective bit for bit, so the loop
     records that objective once more without running it and stops.
+    fit_progressive passes one refit memo (_refits) to every stage.
     """
     config = config or PasConfig()
     X_s = _check_features(X_s, "source features")
@@ -335,18 +379,24 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None):
         raise DimensionMismatch("source dim %d != target dim %d"
                                 % (X_s.shape[1], X_t.shape[1]))
 
+    if _refits is None:
+        _refits = _ClassRefits(X_s, labels)
+
     state = warm_state
     history = []
     model = None
     for _ in range(config.inner_max_iters):
-        model = fit_class_subspaces(X_s, labels, X_t, state, config)
-        dists = compute_distances(model, X_t)
+        model = fit_class_subspaces(X_s, labels, X_t, state, config,
+                                    _refits=_refits)
+        if _refits.changed:
+            _refits.dists = compute_distances(model, X_t)
+        dists = _refits.dists
         W = assign_memberships(dists)
         c = dists.min(axis=1)
         v = anchor(c, lam)
         last_state = state
         state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
-        history.append(_objective_value(model, X_s, labels, dists, W, v, lam))
+        history.append(_objective_value(_refits.source_total(), dists, W, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
@@ -366,7 +416,8 @@ def _accuracy(pred, truth):
 
 
 def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
-    """Run the full progressive schedule and return (model, trace).
+    """Run the full progressive schedule and return (model, trace), with
+    trace a list of one StageRecord per stage.
 
     Stage 0 fits with threshold 0 (source-only initialization); each
     later stage raises the threshold to the quantile of the current
@@ -388,7 +439,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
         if eval_labels.shape[0] != X_t.shape[0]:
             raise RangeError("eval label count does not match target rows")
 
-    def record(trace, stage, fraction, lam, state, history):
+    def record(stage, fraction, lam, state, history):
         acc = None
         if eval_labels is not None:
             acc = _accuracy(np.argmax(state.memberships, axis=1), eval_labels)
@@ -396,9 +447,11 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
                                  anchored=int(state.anchors.sum()),
                                  objective=history[-1], pseudo_accuracy=acc))
 
-    trace = FitTrace()
-    model, state, history = inner_solve(X_s, labels, X_t, 0.0, None, config)
-    record(trace, 0, 0.0, 0.0, state, history)
+    trace = []
+    refits = _ClassRefits(X_s, labels)
+    model, state, history = inner_solve(X_s, labels, X_t, 0.0, None, config,
+                                        _refits=refits)
+    record(0, 0.0, 0.0, state, history)
 
     step = config.schedule_step
     num_stages = int(math.ceil(1.0 / step - 1e-9))
@@ -406,8 +459,9 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     for s in range(1, num_stages + 1):
         fraction = 1.0 if s == num_stages else min(1.0, s * step)
         lam = max(lam, lambda_for_fraction(state.distances, fraction))
-        model, state, history = inner_solve(X_s, labels, X_t, lam, state, config)
-        record(trace, s, fraction, lam, state, history)
+        model, state, history = inner_solve(X_s, labels, X_t, lam, state, config,
+                                            _refits=refits)
+        record(s, fraction, lam, state, history)
     return model, trace
 
 
@@ -461,12 +515,21 @@ def _subspace_from_dict(entry, d):
     # C order, as fit_pca returns it: the residual products then take the
     # same BLAS path, so a reload reproduces every distance bit for bit
     basis = np.ascontiguousarray(basis.reshape((d, r), order="F"))
+    # the distance kernel's expansion and its exact fallback agree only
+    # for orthonormal columns
+    if r and np.abs(basis.T @ basis - np.eye(r)).max() > BASIS_ORTHONORMAL_TOL:
+        raise ConfigError("basis columns are not orthonormal within %g"
+                          % BASIS_ORTHONORMAL_TOL)
+    if (spectrum < 0.0).any() or (np.diff(spectrum) > 0.0).any():
+        raise ConfigError("spectrum must be nonnegative and nonincreasing")
     return Subspace(mean=mean, basis=basis, spectrum=spectrum)
 
 
 def model_from_dict(doc):
     """Rebuild a model from its JSON document, raising ConfigError on a
-    missing field, inconsistent shape or non-finite value."""
+    missing field, inconsistent shape, non-finite value, basis that is not
+    orthonormal within BASIS_ORTHONORMAL_TOL, or spectrum that is negative
+    or increasing."""
     try:
         d = int(doc["feature_dim"])
         num_classes = int(doc["num_classes"])

@@ -169,18 +169,6 @@ def test_bench_writes_sorted_rows(tmp_path, capsys):
     assert "pas mean accuracy" in printed
 
 
-def test_bench_thread_count_does_not_change_output(tmp_path):
-    out1 = str(tmp_path / "b1.csv")
-    main(["bench", "--suite", "pda", "--seeds", "2", "--out-csv", out1])
-    out2 = str(tmp_path / "b2.csv")
-    os.environ["PAS_THREADS"] = "2"
-    try:
-        main(["bench", "--suite", "pda", "--seeds", "2", "--out-csv", out2])
-    finally:
-        del os.environ["PAS_THREADS"]
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
 def test_bench_bad_seeds_exit_2(tmp_path):
     assert main(["bench", "--suite", "pda", "--seeds", "0",
                  "--out-csv", str(tmp_path / "b.csv")]) == 2
@@ -264,9 +252,26 @@ def _nonfinite_basis(doc):
     doc["subspaces"][2]["basis"][0] = float("nan")
 
 
+def _basis_not_orthonormal(doc):
+    entry = doc["subspaces"][0]
+    entry["basis"] = [5.0] + [0.0] * (len(entry["basis"]) - 1)
+
+
+def _negative_spectrum(doc):
+    doc["subspaces"][0]["spectrum"] = [-3.0]
+
+
+def _increasing_spectrum(doc):
+    entry = doc["subspaces"][1]
+    d = len(entry["mean"])
+    entry["basis"] = [float(i == j) for j in range(2) for i in range(d)]
+    entry["spectrum"] = [1.0, 2.0]
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
-    _spectrum_wrong_length, _nonfinite_basis])
+    _spectrum_wrong_length, _nonfinite_basis, _basis_not_orthonormal,
+    _negative_spectrum, _increasing_spectrum])
 def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")

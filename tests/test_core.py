@@ -37,10 +37,10 @@ def make_instance(seed, n_per=8, K=2, d=3, shift=0.8):
     return Xs, SourceLabels(labels=ys, num_classes=K), Xt, ys.copy()
 
 
-def replicate_inner(Xs, labels, Xt, lam, config):
+def replicate_inner(Xs, labels, Xt, lam, config, warm_state=None):
     """The solver loop rebuilt from the public block updates; checks the
     state invariants and recomputes the objective at every step."""
-    state, history = None, []
+    state, history = warm_state, []
     for _ in range(config.inner_max_iters):
         model = fit_class_subspaces(Xs, labels, Xt, state, config)
         dists = compute_distances(model, Xt)

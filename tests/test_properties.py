@@ -1,8 +1,11 @@
-"""Property tests for the batched distance kernel and the inner solver.
+"""Property tests for the batched distance kernel and the solver.
 
 The per-class residual (pas.residuals_sq) is the oracle for
-compute_distances, alone and inside a whole progressive fit, and the
-block-update replication from test_core is the oracle for inner_solve.
+compute_distances, alone and inside a whole progressive fit.  The
+block-update replication from test_core is the oracle for inner_solve
+and, stage by stage, for fit_progressive: it refits every class and
+recomputes every distance on every iteration, where the solver reuses
+what did not change.
 """
 
 import json
@@ -22,15 +25,18 @@ from pas import (
     SynthConfig,
     compute_distances,
     fit_class_subspaces,
+    fit_pca,
     fit_progressive,
     inner_solve,
+    lambda_for_fraction,
     predict,
     residuals_sq,
     synth_shifted_pair,
 )
 from pas import core
 from pas.cli import SUITES
-from pas.core import model_from_dict, model_to_dict
+from pas.core import StageRecord, model_from_dict, model_to_dict
+from pas.subspace import RANK_TOL
 from test_core import make_instance, replicate_inner
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -106,6 +112,33 @@ def test_distances_bitwise_equal_after_json_reload(case):
 
 
 @PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       extra=st.integers(-20, 200), k=st.integers(2, 5),
+       cut=st.floats(1.0, 3.0), offset=st.sampled_from([0.0, 1.0, 1e3]))
+def test_fitted_model_passes_load_checks(seed, n, extra, k, cut, offset):
+    # nearly rank-deficient classes, most of them on the Gram route (fewer
+    # rows than features), whose last eigenvalue sits at cut times the rank
+    # cutoff of the others' total
+    rng = np.random.default_rng(seed)
+    d = max(n + extra, 2)
+    k = min(k, n - 1, d)
+    assume(k >= 2)
+    spectrum = np.sort(10.0 ** rng.uniform(-3, 0, size=k))[::-1]
+    spectrum[-1] = RANK_TOL * cut * spectrum[:-1].sum()
+    U, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    V, _ = np.linalg.qr(rng.normal(size=(d, k)))
+    Y = (U * np.sqrt(spectrum * n)) @ V.T
+    X = Y - Y.mean(axis=0) + offset * rng.normal(size=d)
+    Xs = np.vstack([X, rng.normal(size=(3, d))])
+    labels = SourceLabels(labels=np.repeat([0, 1], [n, 3]), num_classes=2)
+    model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=k))
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    for S, T in zip(model.subspaces, loaded.subspaces):
+        assert S.basis.tobytes() == T.basis.tobytes()
+        assert S.spectrum.tobytes() == T.spectrum.tobytes()
+
+
+@PROPERTY
 @given(seed=st.integers(0, 10_000), K=st.integers(1, 4),
        quantile=st.floats(0.0, 1.0), max_iters=st.sampled_from([2, 3, 50]))
 def test_inner_solve_matches_replication(seed, K, quantile, max_iters):
@@ -124,8 +157,8 @@ def _per_class_distances(model, X):
     return np.column_stack([residuals_sq(S, X) for S in model.subspaces])
 
 
-@pytest.mark.parametrize("suite", ["closed", "pda"])
-def test_fit_trajectory_matches_per_class_kernel(monkeypatch, suite):
+def suite_pair(suite):
+    """(source, target, labels, config) of the seed-0 pas bench suite instance."""
     spec = SUITES[suite]
     cfg = SynthConfig(num_classes=spec["num_classes"], dim=spec["dim"],
                       per_class=spec["per_class"],
@@ -135,7 +168,12 @@ def test_fit_trajectory_matches_per_class_kernel(monkeypatch, suite):
                       pda_keep=spec["pda_keep"], seed=0)
     source, target = synth_shifted_pair(cfg)
     labels = SourceLabels(labels=source.labels, num_classes=source.num_classes)
-    config = PasConfig(dim=spec["subspace_dim"])
+    return source, target, labels, PasConfig(dim=spec["subspace_dim"])
+
+
+@pytest.mark.parametrize("suite", ["closed", "pda"])
+def test_fit_trajectory_matches_per_class_kernel(monkeypatch, suite):
+    source, target, labels, config = suite_pair(suite)
     model, trace = fit_progressive(source.features, labels, target.features,
                                    config)
     monkeypatch.setattr(core, "compute_distances", _per_class_distances)
@@ -146,3 +184,94 @@ def test_fit_trajectory_matches_per_class_kernel(monkeypatch, suite):
         [r.objective for r in oracle_trace], rel=1e-9)
     assert (predict(model, target.features)
             == predict(oracle_model, target.features)).all()
+
+
+def replicate_progressive(Xs, labels, Xt, config, eval_labels=None):
+    """fit_progressive rebuilt stage by stage on replicate_inner; returns
+    (model, trace, one objective history per stage)."""
+    trace, histories = [], []
+    step = config.schedule_step
+    num_stages = int(np.ceil(1.0 / step - 1e-9))
+    lam, state = 0.0, None
+    for s in range(num_stages + 1):
+        fraction = 0.0
+        if s:
+            fraction = 1.0 if s == num_stages else min(1.0, s * step)
+            lam = max(lam, lambda_for_fraction(state.distances, fraction))
+        model, state, history = replicate_inner(Xs, labels, Xt, lam, config,
+                                                warm_state=state)
+        acc = None
+        if eval_labels is not None:
+            acc = float(np.mean(np.argmax(state.memberships, axis=1)
+                                == eval_labels))
+        trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
+                                 anchored=int(state.anchors.sum()),
+                                 objective=history[-1], pseudo_accuracy=acc))
+        histories.append(history)
+    return model, trace, histories
+
+
+def assert_fit_matches_oracle(monkeypatch, Xs, labels, Xt, config,
+                              eval_labels=None):
+    histories = []
+
+    def recorded(*args, **kwargs):
+        result = inner_solve(*args, **kwargs)
+        histories.append(result[2])
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "inner_solve", recorded)
+        model, trace = fit_progressive(Xs, labels, Xt, config, eval_labels)
+    oracle_model, oracle_trace, oracle_histories = replicate_progressive(
+        Xs, labels, Xt, config, eval_labels)
+    assert isinstance(trace, list)
+    assert trace == oracle_trace
+    assert histories == oracle_histories
+    for S, T in zip(model.subspaces, oracle_model.subspaces):
+        for name in ("mean", "basis", "spectrum"):
+            assert getattr(S, name).tobytes() == getattr(T, name).tobytes()
+
+
+@pytest.mark.parametrize("suite", ["closed", "pda"])
+def test_fit_matches_full_refit_oracle_on_suites(monkeypatch, suite):
+    source, target, labels, config = suite_pair(suite)
+    assert_fit_matches_oracle(monkeypatch, source.features, labels,
+                              target.features, config, target.true_labels)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), K=st.integers(1, 4), d=st.integers(2, 5),
+       dim=st.integers(1, 2), keep=st.integers(1, 15),
+       step=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+       max_iters=st.sampled_from([2, 3, 50]))
+def test_fit_matches_full_refit_oracle(seed, K, d, dim, keep, step, max_iters):
+    # keep is a bit mask of the classes the target holds (partial DA)
+    Xs, labels, Xt, ys = make_instance(seed, n_per=8, K=K, d=d, shift=1.5)
+    present = [k for k in range(K) if keep >> k & 1] or [0]
+    rows = np.isin(ys, present)
+    config = PasConfig(dim=dim, schedule_step=step, inner_max_iters=max_iters)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_fit_matches_oracle(monkeypatch, Xs, labels, Xt[rows], config,
+                                  ys[rows])
+
+
+def test_absent_classes_are_fitted_once(monkeypatch):
+    # on a partial-DA fit no target row is ever anchored to a class the
+    # target lacks, so its subspace is the source PCA fitted at the start
+    source, target, labels, config = suite_pair("pda")
+    absent = sorted(set(range(labels.num_classes))
+                    - set(SUITES["pda"]["pda_keep"]))
+    blocks = {k: source.features[labels.labels == k] for k in absent}
+    fits = {k: 0 for k in absent}
+
+    def counted(rows, dim):
+        for k, block in blocks.items():
+            if np.array_equal(rows[:len(block)], block):
+                fits[k] += 1
+        return fit_pca(rows, dim)
+
+    monkeypatch.setattr(core, "fit_pca", counted)
+    _, trace = fit_progressive(source.features, labels, target.features, config)
+    assert len(trace) == 101
+    assert fits == {k: 1 for k in absent}
