@@ -45,19 +45,18 @@ def _write_csv(path, header, rows):
     data.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_source(args):
-    source = data.load_labeled(args.source, args.labels)
-    return source
-
-
 def cmd_fit(args):
-    source = _load_source(args)
+    source = data.load_labeled(args.source, args.labels)
     X_t = data.load_features(args.target)
     eval_labels = None
     if args.eval_labels:
-        eval_labels = data.load_labels(args.eval_labels)
-        if eval_labels.shape[0] != X_t.shape[0]:
+        raw = data.load_labels(args.eval_labels)
+        if raw.shape[0] != X_t.shape[0]:
             raise RangeError("eval labels do not match target rows")
+        # the fit assigns class indices; a label the source lacks (-1) is a miss
+        mapping = source.label_mapping
+        eval_labels = np.array([mapping.get(int(v), -1) for v in raw],
+                               dtype=np.int64)
     config = core.PasConfig(dim=args.dim, schedule_step=args.step)
     labels = core.SourceLabels(labels=source.labels,
                                num_classes=source.num_classes)

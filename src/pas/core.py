@@ -14,12 +14,13 @@ GEMM against the stacked class means and bases, and recomputes with the
 exact per-class residual every cell small enough to lose digits to that
 expansion.
 
-The solver keeps a per-class refit memo for the life of one fit: a class
-whose anchored target rows are unchanged keeps its subspace (and its
-source residual total) bit for bit instead of being refitted, and when no
-class changed the previous distance matrix is reused.  fit_pca is
-deterministic and the distance kernel depends only on the model and the
-target rows, so every reused value is the one a recomputation would give.
+The solver keeps a per-class refit memo for the life of one fit.  It
+checks the fit's inputs once, and a class whose anchored target rows are
+unchanged keeps its subspace (and its source residual total) bit for bit
+instead of being refitted.  fit_pca is deterministic and the distance
+kernel depends only on the model and the target rows, so every reused
+value is the one a recomputation would give; a refit that changes no
+class ends the inner loop.
 """
 
 import json
@@ -60,15 +61,13 @@ class PasConfig:
     dim is the requested per-class subspace dimension (1 is a good
     closed-set default; around 10 suits partial-DA with many source
     classes).  schedule_step is the anchored-fraction increment per
-    stage.  seed is reserved for tie randomization and unused by
-    default: all tie-breaks are deterministic (smallest index).
+    stage.  All tie-breaks are deterministic (smallest index).
     """
 
     dim: int = 1
     schedule_step: float = 0.01
     inner_tol: float = 1e-6
     inner_max_iters: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -87,7 +86,6 @@ class PasConfig:
             "schedule_step": self.schedule_step,
             "inner_tol": self.inner_tol,
             "inner_max_iters": self.inner_max_iters,
-            "seed": self.seed,
         }
 
 
@@ -291,16 +289,26 @@ def objective(model, X_s, labels, X_t, state):
 class _ClassRefits:
     """Per-class refit memo for the life of one fit.
 
-    Holds each class's source rows, and, per class, the anchored target
-    row indices its current subspace was fitted on, that subspace and its
-    source residual total (computed when first asked for).  dists is the
+    Its constructor is where the solver checks a fit's inputs: X_s and,
+    when given, X_t must be 2-D and finite with equal widths, and labels
+    must have one entry per source row.  It holds the checked X_t, each
+    class's source rows, and, per class, the anchored target row indices
+    its current subspace was fitted on, that subspace and its source
+    residual total (computed when first asked for).  dists is the
     distance matrix of the current subspaces once the solver has set it.
     """
 
-    def __init__(self, X_s, labels):
+    def __init__(self, X_s, labels, X_t=None):
+        X_s = _check_features(X_s, "source features")
         if labels.labels.shape[0] != X_s.shape[0]:
             raise RangeError("label count %d does not match %d source rows"
                              % (labels.labels.shape[0], X_s.shape[0]))
+        if X_t is not None:
+            X_t = _check_features(X_t, "target features")
+            if X_s.shape[1] != X_t.shape[1]:
+                raise DimensionMismatch("source dim %d != target dim %d"
+                                        % (X_s.shape[1], X_t.shape[1]))
+        self.X_t = X_t
         self.blocks = [X_s[idx] for idx in _source_groups(labels)]
         K = len(self.blocks)
         self.anchored = [None] * K
@@ -309,11 +317,12 @@ class _ClassRefits:
         self.changed = False
         self.dists = None
 
-    def refit(self, X_t, state, dim):
+    def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
         with its membership and anchor indicator 1, in row order; a class
         whose anchored rows equal those of its stored subspace keeps it.
         Sets changed to whether any class was refitted."""
+        X_t = self.X_t
         K = len(self.blocks)
         picked = [np.zeros(0, dtype=np.intp)] * K
         if state is not None and X_t is not None:
@@ -355,9 +364,8 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     """
     config = config or PasConfig()
     if _refits is None:
-        _refits = _ClassRefits(_check_features(X_s, "source features"), labels)
-    return PasModel(subspaces=_refits.refit(X_t, state, config.dim),
-                    config=config)
+        _refits = _ClassRefits(X_s, labels, X_t)
+    return PasModel(subspaces=_refits.refit(state, config.dim), config=config)
 
 
 def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
@@ -367,20 +375,16 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     Returns (model, state, history) where history holds the objective
     after every full iteration; it is nonincreasing up to roundoff
     because each block update is a global minimizer given the others.
-    Once (W, v) repeats the previous state's, the next iteration would
-    rebuild the same model, state and objective bit for bit, so the loop
-    records that objective once more without running it and stops.
-    fit_progressive passes one refit memo (_refits) to every stage.
+    When a refit after the first iteration changes no class, the rest of
+    the iteration would rebuild the same distances, state and objective
+    bit for bit, so the loop records that objective once more and stops.
+    fit_progressive passes one refit memo (_refits), which holds the
+    checked X_t, to every stage.
     """
     config = config or PasConfig()
-    X_s = _check_features(X_s, "source features")
-    X_t = _check_features(X_t, "target features")
-    if X_s.shape[1] != X_t.shape[1]:
-        raise DimensionMismatch("source dim %d != target dim %d"
-                                % (X_s.shape[1], X_t.shape[1]))
-
     if _refits is None:
-        _refits = _ClassRefits(X_s, labels)
+        _refits = _ClassRefits(X_s, labels, X_t)
+    X_t = _refits.X_t
 
     state = warm_state
     history = []
@@ -390,24 +394,19 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
                                     _refits=_refits)
         if _refits.changed:
             _refits.dists = compute_distances(model, X_t)
+        elif history:
+            history.append(history[-1])
+            break
         dists = _refits.dists
         W = assign_memberships(dists)
         c = dists.min(axis=1)
         v = anchor(c, lam)
-        last_state = state
         state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
         history.append(_objective_value(_refits.source_total(), dists, W, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
-        # the refit reads only (W, v), so a repeat is a fixed point
-        if (last_state is not None
-                and np.array_equal(last_state.memberships, W)
-                and np.array_equal(last_state.anchors, v)):
-            if len(history) < config.inner_max_iters:
-                history.append(history[-1])
-            break
     return model, state, history
 
 
@@ -427,13 +426,10 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     the pseudo-label accuracy of the current assignments.
     """
     config = config or PasConfig()
-    X_s = _check_features(X_s, "source features")
-    X_t = _check_features(X_t, "target features")
+    refits = _ClassRefits(X_s, labels, X_t)
+    X_t = refits.X_t
     if X_t.shape[0] == 0:
         raise EmptyTarget("target set is empty")
-    if X_s.shape[1] != X_t.shape[1]:
-        raise DimensionMismatch("source dim %d != target dim %d"
-                                % (X_s.shape[1], X_t.shape[1]))
     if eval_labels is not None:
         eval_labels = np.asarray(eval_labels, dtype=np.int64)
         if eval_labels.shape[0] != X_t.shape[0]:
@@ -448,7 +444,6 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
                                  objective=history[-1], pseudo_accuracy=acc))
 
     trace = []
-    refits = _ClassRefits(X_s, labels)
     model, state, history = inner_solve(X_s, labels, X_t, 0.0, None, config,
                                         _refits=refits)
     record(0, 0.0, 0.0, state, history)
@@ -475,9 +470,10 @@ def predict(model, X):
 #
 # JSON schema: {feature_dim, num_classes, dim,
 #               subspaces: [{mean, basis (column-major flat list), spectrum}],
-#               config: {dim, schedule_step, inner_tol, inner_max_iters, seed}}
+#               config: {dim, schedule_step, inner_tol, inner_max_iters}}
 # Floats are serialized via repr and round-trip exactly, so a reloaded
-# model reproduces predictions bit for bit.
+# model reproduces predictions bit for bit.  Models written while PasConfig
+# still had a seed field carry config.seed, which loading ignores.
 
 def model_to_dict(model):
     subspaces = []
@@ -536,9 +532,10 @@ def model_from_dict(doc):
         if d < 1 or num_classes < 1:
             raise ConfigError("feature_dim and num_classes must be >= 1, "
                               "got %d and %d" % (d, num_classes))
-        config = PasConfig(**doc["config"])
+        config = PasConfig(**{key: value for key, value in doc["config"].items()
+                              if key != "seed"})
         subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed model document: %s" % exc) from exc
     if len(subspaces) != num_classes:
         raise ConfigError("subspace count does not match num_classes")

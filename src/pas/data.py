@@ -14,6 +14,7 @@ points paired makes the zero-shift case exactly class-mean preserving.
 """
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ MEAN_SCALE = 2.0
 # expected pairwise distance, so no seed starts with two classes merged
 MEAN_SEP_FRACTION = 0.9
 MEAN_DRAW_TRIES = 1000
+# labels are held as int64
+LABEL_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -66,8 +69,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_classes < 1 or self.dim < 1 or self.per_class < 1:
             raise ConfigError("num_classes, dim and per_class must be >= 1")
-        if self.shift.rotation < 0 or self.shift.translation < 0 or self.shift.noise < 0:
-            raise ConfigError("shift magnitudes must be nonnegative")
+        magnitudes = (self.shift.rotation, self.shift.translation, self.shift.noise)
+        # NaN fails both x < 0 and x > 0, so it would silently mean "no shift"
+        if not all(math.isfinite(x) and x >= 0 for x in magnitudes):
+            raise ConfigError("shift magnitudes must be finite and nonnegative, "
+                              "got %r" % (magnitudes,))
         if self.shift.rotation > 0 and self.dim < 2:
             raise ConfigError("rotation requires dim >= 2")
         if self.pda_keep is not None:
@@ -153,6 +159,9 @@ def load_labels(path):
                 raise ParseError("%s:%d: %s" % (path, lineno, exc)) from exc
             if value < 0:
                 raise RangeError("%s:%d: negative label %d" % (path, lineno, value))
+            if value > LABEL_MAX:
+                raise RangeError("%s:%d: label %d above %d"
+                                 % (path, lineno, value, LABEL_MAX))
             out.append(value)
     if not out:
         raise RangeError("%s: no labels" % path)

@@ -25,6 +25,8 @@ from .errors import (
 )
 
 LOG_FLOOR = 1e-300
+# most halvings or doublings of the step in one line search
+MAX_STEP_SCALINGS = 60
 
 
 @dataclass
@@ -123,6 +125,8 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
             raise DegenerateKernel("median bandwidth needs >= 2 centers")
         bandwidth = float(np.median(pdist(centers)))
     bandwidth = float(bandwidth)
+    if not np.isfinite(bandwidth):
+        raise DegenerateKernel("bandwidth must be finite, got %r" % bandwidth)
     if bandwidth <= 0.0:
         raise DegenerateKernel("bandwidth is zero (all points identical?)")
 
@@ -160,18 +164,19 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
         trial = step
         cand, cand_obj = evaluate(trial)
         backtracks = 0
-        while cand_obj < obj and backtracks < 60:
+        while cand_obj < obj and backtracks < MAX_STEP_SCALINGS:
             trial *= 0.5
             cand, cand_obj = evaluate(trial)
             backtracks += 1
         if cand_obj < obj:
             break
-        while backtracks == 0:
-            bigger, bigger_obj = evaluate(trial * 2.0)
-            if bigger_obj <= cand_obj:
-                break
-            trial *= 2.0
-            cand, cand_obj = bigger, bigger_obj
+        if backtracks == 0:
+            for _ in range(MAX_STEP_SCALINGS):
+                bigger, bigger_obj = evaluate(trial * 2.0)
+                if bigger_obj <= cand_obj:
+                    break
+                trial *= 2.0
+                cand, cand_obj = bigger, bigger_obj
         improvement = cand_obj - obj
         alphas, obj, step = cand, cand_obj, trial
         history.append(obj)

@@ -14,7 +14,7 @@ class NonFinite(PasError):
 
 
 class EmptyFit(PasError):
-    """No rows (or no positive weight) available to fit a subspace."""
+    """No rows available to fit a subspace."""
 
 
 class EmptyTarget(PasError):

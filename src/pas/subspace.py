@@ -1,9 +1,9 @@
 """Per-class linear subspace estimation and squared-residual distances.
 
 A fitted subspace is an affine model: a sample mean plus an orthonormal
-basis of the top principal directions of the (optionally weighted)
-mean-centered fitting set.  Its squared reconstruction residual doubles
-as the distance function used everywhere else in the package.
+basis of the top principal directions of the mean-centered fitting
+set.  Its squared reconstruction residual doubles as the distance
+function used everywhere else in the package.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +48,7 @@ def _as_float_matrix(X):
     return X
 
 
-def fit_pca(X, dim, weights=None):
+def fit_pca(X, dim):
     """Fit the top-`dim` principal directions of the rows of X.
 
     Parameters
@@ -58,8 +58,6 @@ def fit_pca(X, dim, weights=None):
     dim : int
         Requested subspace dimension (>= 1).  The effective dimension is
         clamped to min(dim, d, rank of the centered data).
-    weights : array, shape (n,), optional
-        Nonnegative sample weights; at least one must be positive.
 
     Returns
     -------
@@ -77,24 +75,9 @@ def fit_pca(X, dim, weights=None):
     if dim < 1:
         raise ValueError("requested dimension must be >= 1, got %r" % (dim,))
 
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-        n_pos = n
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise DimensionMismatch("weights shape %r does not match %d rows"
-                                    % (weights.shape, n))
-        if not np.isfinite(weights).all():
-            raise NonFinite("weights contain NaN/Inf")
-        if (weights < 0).any():
-            raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if total <= 0.0:
-            raise EmptyFit("all weights are zero")
-        w = weights / total
-        n_pos = int((weights > 0).sum())
-
+    # uniform weights, not X.mean(axis=0): this summation order fixes the
+    # bits of every fitted model
+    w = np.full(n, 1.0 / n)
     mean = w @ X
     Y = X - mean
 
@@ -118,7 +101,7 @@ def fit_pca(X, dim, weights=None):
 
     trace = max(float(evals.sum()), 0.0)
     rank = int((evals > RANK_TOL * trace).sum())
-    d_eff = min(int(dim), d, max(n_pos - 1, 0), rank)
+    d_eff = min(int(dim), d, max(n - 1, 0), rank)
 
     basis = evecs[:, :d_eff].copy()
     spectrum = np.maximum(evals[:d_eff], 0.0)

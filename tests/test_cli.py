@@ -153,6 +153,42 @@ def test_synth_determinism_and_pda(tmp_path):
 
 def test_synth_bad_config_exit_2(tmp_path):
     assert main(synth_args(str(tmp_path / "z"), pda_keep="0,9")) == 2
+    assert main(synth_args(str(tmp_path / "z"), noise="nan")) == 2
+    assert not os.path.exists(str(tmp_path / "z") + "_source.csv")
+
+
+def test_fit_label_beyond_int64_exit_2(tmp_path):
+    prefix = make_data(tmp_path)
+    labels = tmp_path / "big.txt"
+    labels.write_text("99999999999999999999999\n")
+    assert main(["fit", "--source", prefix + "_source.csv",
+                 "--labels", str(labels), "--target", prefix + "_target.csv",
+                 "--out-model", str(tmp_path / "m.json"),
+                 "--trace-csv", str(tmp_path / "t.csv")]) == 2
+    assert not os.path.exists(tmp_path / "m.json")
+
+
+def test_fit_pseudo_acc_uses_source_label_mapping(tmp_path):
+    prefix = make_data(tmp_path)
+    _, trace0 = run_fit(tmp_path, prefix)
+    expected = open(trace0).read()
+    for name in ("_source_labels.csv", "_target_labels.csv"):
+        raw = load_labels(prefix + name)
+        pas.save_labels(prefix + "_shifted" + name, raw + 5)
+    model = str(tmp_path / "m.json")
+    trace = str(tmp_path / "t.csv")
+    fit = ["fit", "--source", prefix + "_source.csv",
+           "--labels", prefix + "_shifted_source_labels.csv",
+           "--target", prefix + "_target.csv", "--step", "0.25",
+           "--out-model", model, "--trace-csv", trace]
+    assert main(fit + ["--eval-labels", prefix + "_shifted_target_labels.csv"]) == 0
+    assert open(trace).read() == expected
+    # a label the source does not have is a miss
+    absent = tmp_path / "absent.txt"
+    absent.write_text("9\n" * load_labels(prefix + "_target_labels.csv").size)
+    assert main(fit + ["--eval-labels", str(absent)]) == 0
+    rows = open(trace).read().strip().split("\n")[1:]
+    assert [row.split(",")[-1] for row in rows] == ["0.0"] * len(rows)
 
 
 def test_bench_writes_sorted_rows(tmp_path, capsys):
@@ -207,6 +243,19 @@ def test_diagnose_rerun_byte_identical(tmp_path):
                      "--out", out]) == 0
         outs.append(open(out, "rb").read())
     assert outs[0] == outs[1]
+
+
+def test_diagnose_nonfinite_bandwidth_exit_2(tmp_path):
+    prefix = make_data(tmp_path)
+    model, _ = run_fit(tmp_path, prefix, step="1.0")
+    out = str(tmp_path / "report.json")
+    for bandwidth in ("nan", "inf"):
+        assert main(["diagnose", "--model", model,
+                     "--source", prefix + "_source.csv",
+                     "--target", prefix + "_target.csv",
+                     "--true-labels", prefix + "_target_labels.csv",
+                     "--bandwidth", bandwidth, "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_console_entry_point(tmp_path):

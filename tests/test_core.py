@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pas
+from pas import core
 from pas import (
     AnchorState,
     PasConfig,
@@ -395,6 +396,27 @@ def test_fit_progressive_stage_zero_matches_source_only_accuracy():
     assert trace[0].pseudo_accuracy == acc
 
 
+def test_fit_checks_source_features_once(monkeypatch):
+    checked = []
+    check = core._check_features
+
+    def counting(X, name="features"):
+        checked.append(name)
+        return check(X, name)
+
+    monkeypatch.setattr(core, "_check_features", counting)
+    Xs, labels, Xt, ys = make_instance(18, n_per=10, K=3, d=4, shift=1.0)
+    _, trace = fit_progressive(Xs, labels, Xt, PasConfig(dim=1, schedule_step=0.1),
+                               eval_labels=ys)
+    assert len(trace) == 11
+    assert checked.count("source features") == 1
+    for call in (lambda: inner_solve(Xs, labels, Xt, 1.0),
+                 lambda: fit_class_subspaces(Xs, labels)):
+        checked.clear()
+        call()
+        assert checked.count("source features") == 1
+
+
 def test_fit_progressive_errors():
     Xs, labels, Xt, _ = make_instance(19)
     with pytest.raises(EmptyTarget):
@@ -496,10 +518,27 @@ def test_model_json_schema(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"feature_dim", "num_classes", "dim", "subspaces", "config"}
     assert doc["feature_dim"] == 3 and doc["num_classes"] == 2 and doc["dim"] == 1
+    assert set(doc["config"]) == {"dim", "schedule_step", "inner_tol",
+                                  "inner_max_iters"}
     for entry in doc["subspaces"]:
         assert set(entry) == {"mean", "basis", "spectrum"}
         assert len(entry["mean"]) == 3
         assert len(entry["basis"]) == 3 * len(entry["spectrum"])
+
+
+def test_model_written_with_config_seed_still_loads(tmp_path):
+    # models saved while PasConfig had a seed field carry "seed": 0
+    Xs, labels, Xt, _ = make_instance(28, K=3, d=4)
+    model, _ = fit_progressive(Xs, labels, Xt, PasConfig(dim=2, schedule_step=0.5))
+    doc = core.model_to_dict(model)
+    old = json.loads(json.dumps(doc))
+    old["config"]["seed"] = 0
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old, indent=2) + "\n")
+    loaded = pas.load_model(str(path))
+    assert core.model_to_dict(loaded) == doc
+    assert (compute_distances(loaded, Xt) == compute_distances(model, Xt)).all()
+    assert (predict(loaded, Xt) == predict(model, Xt)).all()
 
 
 def test_model_load_rejects_garbage(tmp_path):

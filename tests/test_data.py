@@ -117,6 +117,16 @@ def test_labels_non_integer_rejected(tmp_path):
         load_labels(str(p))
 
 
+def test_labels_beyond_int64_rejected(tmp_path):
+    p = tmp_path / "l.txt"
+    for big in (2**63, 99999999999999999999999):
+        p.write_text("0\n%d\n" % big)
+        with pytest.raises(RangeError):
+            load_labels(str(p))
+    p.write_text("%d\n" % (2**63 - 1))
+    assert load_labels(str(p)).tolist() == [2**63 - 1]
+
+
 def test_label_count_mismatch(tmp_path):
     f = tmp_path / "f.csv"
     f.write_text("1,2\n3,4\n")
@@ -194,6 +204,10 @@ def test_config_validation():
         base_cfg(per_class=0)
     with pytest.raises(ConfigError):
         base_cfg(shift=Shift(rotation=-0.1, translation=0, noise=0))
+    for bad in (float("nan"), float("inf")):
+        for shift in (Shift(rotation=bad), Shift(translation=bad), Shift(noise=bad)):
+            with pytest.raises(ConfigError):
+                base_cfg(shift=shift)
     with pytest.raises(ConfigError):
         base_cfg(pda_keep=())
     with pytest.raises(ConfigError):

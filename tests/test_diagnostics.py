@@ -63,6 +63,23 @@ def test_degenerate_kernel():
     with pytest.raises(DegenerateKernel):
         kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
                   np.random.default_rng(1).normal(size=(5, 2)), bandwidth=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DegenerateKernel):
+            kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
+                      np.random.default_rng(1).normal(size=(5, 2)), bandwidth=bad)
+
+
+def test_step_search_ends_when_every_doubling_helps(monkeypatch):
+    # an objective that rises on every evaluation never ends the step
+    # doubling by itself (a NaN one never did either); the search must
+    calls = iter(range(10**4))
+    monkeypatch.setattr("pas.diagnostics._kliep_objective",
+                        lambda K_src, alphas: float(next(calls)))
+    rng = np.random.default_rng(5)
+    model = kliep_fit(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)),
+                      max_iters=3)
+    assert len(model.objective_history) == 4
+    assert next(calls) < 4 * 70
 
 
 def test_kliep_input_validation():

@@ -140,28 +140,6 @@ def test_scale_covariance():
             s * s * residual_sq(S, x), rel=1e-8)
 
 
-def test_weighted_fit_matches_row_replication():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(6, 3))
-    w = np.array([1.0, 2.0, 1.0, 3.0, 1.0, 2.0])
-    replicated = np.repeat(X, w.astype(int), axis=0)
-    Sw = fit_pca(X, dim=2, weights=w)
-    Sr = fit_pca(replicated, dim=2)
-    assert np.allclose(Sw.mean, Sr.mean, atol=1e-12)
-    assert np.allclose(Sw.spectrum, Sr.spectrum, atol=1e-12)
-    assert np.allclose(np.abs(Sw.basis.T @ Sr.basis), np.eye(2), atol=1e-8)
-
-
-def test_zero_weight_rows_are_ignored():
-    rng = np.random.default_rng(13)
-    X = rng.normal(size=(8, 3))
-    w = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    Sw = fit_pca(X, dim=1, weights=w)
-    Ss = fit_pca(X[:4], dim=1)
-    assert np.allclose(Sw.mean, Ss.mean, atol=1e-12)
-    assert np.allclose(Sw.basis, Ss.basis, atol=1e-10)
-
-
 def test_single_point_fit_degrades_to_mean():
     S = fit_pca(np.array([[1.0, 2.0, 3.0]]), dim=2)
     assert S.effective_dim == 0
@@ -208,8 +186,6 @@ def test_sign_convention_deterministic():
 def test_errors():
     with pytest.raises(EmptyFit):
         fit_pca(np.zeros((0, 3)), dim=1)
-    with pytest.raises(EmptyFit):
-        fit_pca(np.ones((3, 2)), dim=1, weights=np.zeros(3))
     with pytest.raises(NonFinite):
         fit_pca(np.array([[1.0, np.nan]]), dim=1)
     with pytest.raises(ValueError):
