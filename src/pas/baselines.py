@@ -4,7 +4,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import PasConfig, SourceLabels, fit_class_subspaces
-from .errors import DimensionMismatch
+from .errors import check_matrix
+
+# target rows per distance block: memory stays at NN1_CHUNK_ROWS x n
+# distances instead of m x n
+NN1_CHUNK_ROWS = 1024
 
 
 def nn1_classify(source, X_t):
@@ -12,11 +16,12 @@ def nn1_classify(source, X_t):
 
     Exact pairwise distances, ties to the lowest source index.
     """
-    X_t = np.asarray(X_t, dtype=float)
-    if X_t.shape[1] != source.features.shape[1]:
-        raise DimensionMismatch("target dim %d != source dim %d"
-                                % (X_t.shape[1], source.features.shape[1]))
-    nearest = np.argmin(cdist(X_t, source.features), axis=1)
+    X_s = check_matrix(source.features, "source features")
+    X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
+    nearest = np.empty(X_t.shape[0], dtype=np.intp)
+    for start in range(0, X_t.shape[0], NN1_CHUNK_ROWS):
+        rows = slice(start, start + NN1_CHUNK_ROWS)
+        nearest[rows] = np.argmin(cdist(X_t[rows], X_s), axis=1)
     return source.labels[nearest]
 
 

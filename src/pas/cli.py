@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baselines, core, data, diagnostics
 from .data import Shift, SynthConfig
-from .errors import ConfigError, DimensionMismatch, PasError, RangeError
+from .errors import ConfigError, DimensionMismatch, PasError
 
 EXIT_IO = 2
 EXIT_DIM = 3
@@ -51,8 +51,6 @@ def cmd_fit(args):
     eval_labels = None
     if args.eval_labels:
         raw = data.load_labels(args.eval_labels)
-        if raw.shape[0] != X_t.shape[0]:
-            raise RangeError("eval labels do not match target rows")
         # the fit assigns class indices; a label the source lacks (-1) is a miss
         mapping = source.label_mapping
         eval_labels = np.array([mapping.get(int(v), -1) for v in raw],
@@ -153,8 +151,6 @@ def cmd_diagnose(args):
     X_s = data.load_features(args.source)
     X_t = data.load_features(args.target)
     truth = data.load_labels(args.true_labels)
-    if truth.shape[0] != X_t.shape[0]:
-        raise RangeError("true labels do not match target rows")
     ratio_model = diagnostics.kliep_fit(X_s, X_t, num_centers=args.centers,
                                         bandwidth=args.bandwidth,
                                         seed=args.kliep_seed)

@@ -25,6 +25,7 @@ class ends the inner loop.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyTarget,
-    NonFinite,
     RangeError,
+    check_matrix,
 )
 from .subspace import Subspace, fit_pca, residuals_sq
 
@@ -70,15 +71,17 @@ class PasConfig:
     inner_max_iters: int = 50
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1, got %r" % (self.dim,))
+        for name in ("dim", "inner_max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError("%s must be an integer >= 1, got %r"
+                                  % (name, value))
         if not (0.0 < self.schedule_step <= 1.0):
             raise ConfigError("schedule_step must be in (0, 1], got %r"
                               % (self.schedule_step,))
-        if self.inner_tol <= 0.0:
-            raise ConfigError("inner_tol must be positive")
-        if self.inner_max_iters < 1:
-            raise ConfigError("inner_max_iters must be >= 1")
+        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0.0):
+            raise ConfigError("inner_tol must be finite and positive, got %r"
+                              % (self.inner_tol,))
 
     def to_dict(self):
         return {
@@ -97,9 +100,15 @@ class SourceLabels:
     num_classes: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        values = np.asarray(self.labels)
+        # a NaN or out-of-range float casts to garbage, which the
+        # comparison below rejects
+        with np.errstate(invalid="ignore"):
+            labels = values.astype(np.int64)
         if labels.ndim != 1:
             raise DimensionMismatch("labels must be a 1-D vector")
+        if (labels != values).any():
+            raise RangeError("labels must be integers")
         if self.num_classes < 1:
             raise RangeError("num_classes must be >= 1")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -156,15 +165,6 @@ class StageRecord:
     pseudo_accuracy: float | None = None
 
 
-def _check_features(X, name="features"):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("%s must be 2-D, got ndim=%d" % (name, X.ndim))
-    if not np.isfinite(X).all():
-        raise NonFinite("%s contain NaN/Inf" % name)
-    return X
-
-
 def compute_distances(model, X_t):
     """m x K matrix of squared residuals of each row to each class subspace.
 
@@ -175,11 +175,8 @@ def compute_distances(model, X_t):
     clamped at 0.  Cells at or below EXACT_FALLBACK_REL times
     ||x - c||^2 + ||mu_k - c||^2 are recomputed with residuals_sq.
     """
-    X_t = _check_features(X_t, "target features")
     d = model.feature_dim
-    if X_t.shape[1] != d:
-        raise DimensionMismatch("feature dim %d does not match model dim %d"
-                                % (X_t.shape[1], d))
+    X_t = check_matrix(X_t, "target features", width=d)
     subspaces = model.subspaces
     K = len(subspaces)
     dims = [S.effective_dim for S in subspaces]
@@ -220,9 +217,7 @@ def assign_memberships(dists):
     Ties break to the smallest class index, which makes runs
     deterministic.
     """
-    dists = np.asarray(dists, dtype=float)
-    if not np.isfinite(dists).all():
-        raise NonFinite("distance matrix contains NaN/Inf")
+    dists = check_matrix(dists, "distance matrix")
     m, K = dists.shape
     W = np.zeros((m, K), dtype=np.int64)
     W[np.arange(m), np.argmin(dists, axis=1)] = 1
@@ -276,7 +271,7 @@ def _objective_value(source_total, dists, W, v, lam):
 
 def objective(model, X_s, labels, X_t, state):
     """Unified objective: source residuals + anchored target residuals - lam * #anchored."""
-    X_s = _check_features(X_s, "source features")
+    X_s = check_matrix(X_s, "source features", width=model.feature_dim)
     dists = compute_distances(model, X_t)
     W = state.memberships
     if W.shape != dists.shape:
@@ -299,15 +294,12 @@ class _ClassRefits:
     """
 
     def __init__(self, X_s, labels, X_t=None):
-        X_s = _check_features(X_s, "source features")
+        X_s = check_matrix(X_s, "source features")
         if labels.labels.shape[0] != X_s.shape[0]:
             raise RangeError("label count %d does not match %d source rows"
                              % (labels.labels.shape[0], X_s.shape[0]))
         if X_t is not None:
-            X_t = _check_features(X_t, "target features")
-            if X_s.shape[1] != X_t.shape[1]:
-                raise DimensionMismatch("source dim %d != target dim %d"
-                                        % (X_s.shape[1], X_t.shape[1]))
+            X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
         self.X_t = X_t
         self.blocks = [X_s[idx] for idx in _source_groups(labels)]
         K = len(self.blocks)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, ParseError, RangeError
+from .errors import ConfigError, ParseError, RangeError, check_matrix
 
 # class blobs get one elongated principal direction so rank-1 subspaces
 # capture real structure rather than noise
@@ -86,38 +86,24 @@ class SynthConfig:
             object.__setattr__(self, "pda_keep", keep)
 
 
-def _validate_matrix(X, path):
-    if X.size == 0:
-        raise ParseError("%s: no rows" % path)
-    if not np.isfinite(X).all():
-        raise NonFinite("%s: non-finite value" % path)
-    return X
-
-
 def load_features(path, fmt="csv"):
-    """Load a feature matrix from a CSV or binary file."""
+    """Load a feature matrix from a CSV or binary file.
+
+    A CSV field is a float in numpy's syntax, with optional surrounding
+    whitespace; blank and whitespace-only lines are skipped.  Raises
+    ParseError for a malformed or empty file and NonFinite for NaN/Inf.
+    """
     if fmt == "csv":
-        rows = []
-        arity = None
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if arity is None:
-                    arity = len(parts)
-                elif len(parts) != arity:
-                    raise ParseError("%s:%d: expected %d fields, got %d"
-                                     % (path, lineno, arity, len(parts)))
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise ParseError("%s:%d: %s" % (path, lineno, exc)) from exc
-        if not rows:
+            lines = [line for line in fh if line.strip()]
+        if not lines:
             raise ParseError("%s: no rows" % path)
-        return _validate_matrix(np.asarray(rows, dtype=float), path)
-    if fmt == "bin":
+        try:
+            X = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                           dtype=float)
+        except ValueError as exc:
+            raise ParseError("%s: %s" % (path, exc)) from exc
+    elif fmt == "bin":
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < 12 or blob[:4] != b"PASM":
@@ -127,9 +113,12 @@ def load_features(path, fmt="csv"):
         if len(blob) != expected:
             raise ParseError("%s: expected %d bytes, got %d"
                              % (path, expected, len(blob)))
+        if n * d == 0:
+            raise ParseError("%s: no rows" % path)
         X = np.frombuffer(blob[12:], dtype="<f8").reshape(n, d).copy()
-        return _validate_matrix(X, path)
-    raise ConfigError("unknown feature format %r" % (fmt,))
+    else:
+        raise ConfigError("unknown feature format %r" % (fmt,))
+    return check_matrix(X, path)
 
 
 def save_features(path, X, fmt="csv"):

@@ -18,10 +18,10 @@ from .core import compute_distances, predict
 from .errors import (
     ConfigError,
     DegenerateKernel,
-    DimensionMismatch,
     EmptySelection,
-    NonFinite,
+    RangeError,
     TooFewSamples,
+    check_matrix,
 )
 
 LOG_FLOOR = 1e-300
@@ -43,9 +43,7 @@ class DensityRatioModel:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if X.shape[1] != self.centers.shape[1]:
-            raise DimensionMismatch("dim %d != center dim %d"
-                                    % (X.shape[1], self.centers.shape[1]))
+        X = check_matrix(X, "samples", width=self.centers.shape[1])
         K = np.exp(-cdist(X, self.centers, "sqeuclidean")
                    / (2.0 * self.bandwidth ** 2))
         return K @ self.alphas
@@ -101,17 +99,10 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
         are clipped at zero and rescaled so the ratio averages to one
         over the target sample.
     """
-    X_src = np.asarray(X_src, dtype=float)
-    X_tgt = np.asarray(X_tgt, dtype=float)
-    if X_src.ndim != 2 or X_tgt.ndim != 2:
-        raise DimensionMismatch("expected 2-D sample matrices")
+    X_src = check_matrix(X_src, "source samples")
+    X_tgt = check_matrix(X_tgt, "target samples", width=X_src.shape[1])
     if X_src.shape[0] == 0 or X_tgt.shape[0] == 0:
         raise EmptySelection("need nonempty source and target sets")
-    if X_src.shape[1] != X_tgt.shape[1]:
-        raise DimensionMismatch("source dim %d != target dim %d"
-                                % (X_src.shape[1], X_tgt.shape[1]))
-    if not (np.isfinite(X_src).all() and np.isfinite(X_tgt).all()):
-        raise NonFinite("samples contain NaN/Inf")
 
     if int(num_centers) < 1:
         raise ConfigError("num_centers must be >= 1")
@@ -203,19 +194,23 @@ def anchoring_report(model, X_t, true_labels, ratio_model, fraction=0.05):
 
     Targets are ranked by their assigned-subspace squared residual; the
     top group is the smallest-distance `fraction` of samples and the
-    bottom group the largest-distance fraction.
+    bottom group the largest-distance fraction.  true_labels must hold
+    one label per row of X_t (RangeError otherwise).
     """
     if not (0.0 < fraction <= 0.5):
         raise ConfigError("fraction must be in (0, 0.5], got %r" % (fraction,))
-    X_t = np.asarray(X_t, dtype=float)
+    dists = compute_distances(model, X_t)
+    m = dists.shape[0]
     true_labels = np.asarray(true_labels, dtype=np.int64)
-    m = X_t.shape[0]
+    if true_labels.shape != (m,):
+        raise RangeError("true labels of shape %r for %d target rows"
+                         % (true_labels.shape, m))
     group = int(np.floor(fraction * m))
     if group < 1:
         raise TooFewSamples("fraction %r of %d samples selects no rows"
                             % (fraction, m))
 
-    c = compute_distances(model, X_t).min(axis=1)
+    c = dists.min(axis=1)
     order = np.argsort(c, kind="stable")
     top, bottom = order[:group], order[-group:]
     pred = predict(model, X_t)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check every
+public entry point applies to an input matrix."""
+
+import numpy as np
 
 
 class PasError(Exception):
@@ -43,3 +46,22 @@ class EmptySelection(PasError):
 
 class TooFewSamples(PasError):
     """Requested group fraction selects fewer than one sample."""
+
+
+def check_matrix(X, name, width=None):
+    """X as a float array, checked to be 2-D, `width` columns wide when
+    given, and finite.
+
+    Raises DimensionMismatch for a wrong rank or width and NonFinite for
+    NaN/Inf, naming the input `name` in the message.  Empty inputs pass:
+    each caller rejects them with its own error class.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("%s must be 2-D, got ndim=%d" % (name, X.ndim))
+    if width is not None and X.shape[1] != width:
+        raise DimensionMismatch("%s has %d columns, expected %d"
+                                % (name, X.shape[1], width))
+    if not np.isfinite(X).all():
+        raise NonFinite("%s contains NaN/Inf" % name)
+    return X

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFit, NonFinite
+from .errors import DimensionMismatch, EmptyFit, check_matrix
 
 # Eigenvalues below RANK_TOL * trace(covariance) are treated as zero rank.
 RANK_TOL = 1e-12
@@ -41,13 +41,6 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _as_float_matrix(X):
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("expected a 2-D sample matrix, got ndim=%d" % X.ndim)
-    return X
-
-
 def fit_pca(X, dim):
     """Fit the top-`dim` principal directions of the rows of X.
 
@@ -66,12 +59,10 @@ def fit_pca(X, dim):
         each basis column flipped so its largest-magnitude entry is
         nonnegative.
     """
-    X = _as_float_matrix(X)
+    X = check_matrix(X, "sample matrix")
     n, d = X.shape
     if n == 0:
         raise EmptyFit("cannot fit a subspace on zero rows")
-    if not np.isfinite(X).all():
-        raise NonFinite("sample matrix contains NaN/Inf")
     if dim < 1:
         raise ValueError("requested dimension must be >= 1, got %r" % (dim,))
 
@@ -142,9 +133,7 @@ def residual_sq(S, x):
 
 def residuals_sq(S, X):
     """Row-wise squared residuals for a whole sample matrix."""
-    X = _as_float_matrix(X)
-    if X.shape[1] != S.dim:
-        raise DimensionMismatch("expected %d columns, got %d" % (S.dim, X.shape[1]))
+    X = check_matrix(X, "sample matrix", width=S.dim)
     Y = X - S.mean
     R = Y - (Y @ S.basis) @ S.basis.T
     return np.einsum("ij,ij->i", R, R)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import pas
 from pas import PasConfig, SourceLabels, nn1_classify, pas_c
 from pas.data import LabeledDataset, Shift, SynthConfig, synth_shifted_pair
-from pas.errors import DimensionMismatch
+from pas.errors import DimensionMismatch, NonFinite
 
 
 def labeled(features, labels):
@@ -50,6 +51,33 @@ def test_nn1_dimension_mismatch():
     src = labeled([[0.0, 0.0]], [0])
     with pytest.raises(DimensionMismatch):
         nn1_classify(src, np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        nn1_classify(src, np.zeros(2))
+
+
+def test_nn1_rejects_nonfinite_rows():
+    # argmin over NaN distances would pick source row 0; a NaN row must raise
+    src = labeled([[0.0, 0.0], [5.0, 5.0]], [0, 1])
+    with pytest.raises(NonFinite):
+        nn1_classify(src, np.array([[5.0, 5.0], [np.nan, 1.0]]))
+    with pytest.raises(NonFinite):
+        nn1_classify(labeled([[np.inf, 0.0], [5.0, 5.0]], [0, 1]),
+                     np.array([[5.0, 5.0]]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_nn1_chunks_match_the_full_distance_matrix(monkeypatch, chunk):
+    # integer points give many exact ties, some across chunk boundaries;
+    # one label per source row, so labels are the nearest indices, and a
+    # seed per case, so no freed buffer holds this case's answer
+    rng = np.random.default_rng(chunk)
+    X_s = rng.integers(-2, 3, size=(40, 3)).astype(float)
+    src = labeled(X_s, np.arange(40))
+    X_t = rng.integers(-2, 3, size=(50, 3)).astype(float)
+    monkeypatch.setattr(pas.baselines, "NN1_CHUNK_ROWS", chunk)
+    got = nn1_classify(src, X_t)
+    assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
+    assert nn1_classify(src, X_t[:0]).shape == (0,)
 
 
 def test_pas_c_equals_source_only_fit():

@@ -112,6 +112,45 @@ def test_predict_empty_features_exit_2(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_fit_and_predict_reject_underscore_digits_exit_2(tmp_path):
+    # float() reads "1_0" as 10; the feature CSV syntax does not
+    prefix = make_data(tmp_path)
+    model, _ = run_fit(tmp_path, prefix, step="1.0")
+    lines = open(prefix + "_target.csv").read().split("\n")
+    lines[3] = "1_0," + lines[3].split(",", 1)[1]
+    bad = str(tmp_path / "bad.csv")
+    open(bad, "w").write("\n".join(lines))
+    out, new_model = str(tmp_path / "pred.txt"), str(tmp_path / "m2.json")
+    assert main(["predict", "--model", model, "--features", bad,
+                 "--out", out]) == 2
+    assert main(["fit", "--source", prefix + "_source.csv",
+                 "--labels", prefix + "_source_labels.csv", "--target", bad,
+                 "--out-model", new_model,
+                 "--trace-csv", str(tmp_path / "t2.csv")]) == 2
+    assert not os.path.exists(out) and not os.path.exists(new_model)
+
+
+def test_label_count_mismatch_exit_2(tmp_path):
+    # the library checks these counts; the commands rely on it
+    prefix = make_data(tmp_path)
+    model, _ = run_fit(tmp_path, prefix, step="1.0")
+    labels = open(prefix + "_target_labels.csv").read().split("\n")
+    for name, text in (("short.txt", "\n".join(labels[1:])),
+                       ("long.txt", "0\n" + "\n".join(labels))):
+        path = str(tmp_path / name)
+        open(path, "w").write(text)
+        out = str(tmp_path / "out")
+        assert main(["fit", "--source", prefix + "_source.csv",
+                     "--labels", prefix + "_source_labels.csv",
+                     "--target", prefix + "_target.csv", "--eval-labels", path,
+                     "--out-model", out, "--trace-csv", out + ".csv"]) == 2
+        assert main(["diagnose", "--model", model,
+                     "--source", prefix + "_source.csv",
+                     "--target", prefix + "_target.csv",
+                     "--true-labels", path, "--out", out]) == 2
+        assert not os.path.exists(out)
+
+
 def test_predict_dimension_mismatch_exit_3(tmp_path):
     prefix = make_data(tmp_path, dim=5)
     model, _ = run_fit(tmp_path, prefix)
@@ -317,10 +356,19 @@ def _increasing_spectrum(doc):
     entry["spectrum"] = [1.0, 2.0]
 
 
+def _nan_inner_tol(doc):
+    doc["config"]["inner_tol"] = float("nan")
+
+
+def _fractional_max_iters(doc):
+    doc["config"]["inner_max_iters"] = 2.5
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
     _spectrum_wrong_length, _nonfinite_basis, _basis_not_orthonormal,
-    _negative_spectrum, _increasing_spectrum])
+    _negative_spectrum, _increasing_spectrum, _nan_inner_tol,
+    _fractional_max_iters])
 def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")

@@ -122,6 +122,11 @@ def test_assign_rejects_nonfinite():
         assign_memberships(np.array([[0.1, np.inf]]))
 
 
+def test_assign_rejects_a_vector():
+    with pytest.raises(DimensionMismatch):
+        assign_memberships(np.array([0.1, 0.2]))
+
+
 # --- anchor -----------------------------------------------------------------
 
 def test_anchor_zero_threshold_anchors_nothing():
@@ -398,13 +403,13 @@ def test_fit_progressive_stage_zero_matches_source_only_accuracy():
 
 def test_fit_checks_source_features_once(monkeypatch):
     checked = []
-    check = core._check_features
+    check = core.check_matrix
 
-    def counting(X, name="features"):
+    def counting(X, name, width=None):
         checked.append(name)
-        return check(X, name)
+        return check(X, name, width)
 
-    monkeypatch.setattr(core, "_check_features", counting)
+    monkeypatch.setattr(core, "check_matrix", counting)
     Xs, labels, Xt, ys = make_instance(18, n_per=10, K=3, d=4, shift=1.0)
     _, trace = fit_progressive(Xs, labels, Xt, PasConfig(dim=1, schedule_step=0.1),
                                eval_labels=ys)
@@ -483,6 +488,10 @@ def test_source_labels_validation():
         SourceLabels(labels=np.array([0, 1, 3]), num_classes=3)  # out of range
     with pytest.raises(RangeError):
         SourceLabels(labels=np.array([-1, 0, 1]), num_classes=2)
+    for fractional in ([0.5, 1.7], [0.0, 1.0, np.nan], [0.0, 1.0, 2.0**63]):
+        with pytest.raises(RangeError):
+            SourceLabels(labels=fractional, num_classes=2)
+    assert SourceLabels(labels=[1.0, 0.0], num_classes=2).labels.tolist() == [1, 0]
 
 
 def test_config_validation():
@@ -494,6 +503,11 @@ def test_config_validation():
         PasConfig(schedule_step=1.5)
     with pytest.raises(ConfigError):
         PasConfig(inner_tol=0.0)
+    for bad in (dict(inner_tol=np.nan), dict(inner_tol=np.inf),
+                dict(inner_max_iters=2.5), dict(dim=2.5), dict(inner_max_iters=0)):
+        with pytest.raises(ConfigError):
+            PasConfig(**bad)
+    assert PasConfig(dim=np.int64(3)).dim == 3
 
 
 # --- persistence ------------------------------------------------------------

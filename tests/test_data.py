@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,40 @@ def test_csv_empty(tmp_path):
     p.write_text("")
     with pytest.raises(ParseError):
         load_features(str(p))
+
+
+# feature-CSV syntax: file bytes -> the matrix read, or None for ParseError
+CSV_SYNTAX = [
+    (b"1.0,2.0\n\n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),      # blank line
+    (b"1,2\n \t \n3,4\n  \n", [[1.0, 2.0], [3.0, 4.0]]),      # whitespace-only
+    (b"1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),             # CRLF
+    (b"1,\t2\n\t3 , 4\n", [[1.0, 2.0], [3.0, 4.0]]),           # tabs, spaces
+    (b"1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),                   # no final newline
+    (b"-1.5e-300,.5,+7\n", [[-1.5e-300, 0.5, 7.0]]),          # one row
+    (b"1\n2\n3\n", [[1.0], [2.0], [3.0]]),                     # one column
+    (b"1,2\n3\n", None),                                       # arity change
+    (b"", None),                                                # empty file
+    (b"\n \n\t\n", None),                                      # blank lines only
+    (b"1_0,2\n", None),                                         # underscore
+    ("\u0661,2\n".encode(), None),                              # Arabic-Indic digit
+    (b"1e,2\n", None),                                          # no exponent digits
+    (b"1,2,\n", None),                                          # empty field
+]
+
+
+@pytest.mark.parametrize("raw, expected", CSV_SYNTAX)
+def test_csv_syntax(tmp_path, raw, expected):
+    p = tmp_path / "f.csv"
+    p.write_bytes(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            with pytest.raises(ParseError, match="f.csv"):
+                load_features(str(p))
+        else:
+            X = load_features(str(p))
+            assert X.dtype == np.float64 and X.ndim == 2
+            assert X.tolist() == expected
 
 
 def test_csv_rejects_nonfinite(tmp_path):

@@ -10,6 +10,8 @@ from pas.errors import (
     DegenerateKernel,
     DimensionMismatch,
     EmptySelection,
+    NonFinite,
+    RangeError,
     TooFewSamples,
 )
 
@@ -99,6 +101,17 @@ def test_adr_constant_ratio_is_one():
     assert adr(model, X, np.arange(20)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ratio_rejects_nonfinite_rows():
+    # a NaN row raises instead of giving a NaN ratio
+    model = DensityRatioModel(centers=np.zeros((1, 2)), alphas=np.array([1.0]),
+                              bandwidth=1.0)
+    with pytest.raises(NonFinite):
+        model.ratio(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        model.ratio(np.zeros((2, 3)))
+    assert model.ratio(np.zeros(2)).tolist() == [1.0]
+
+
 def test_adr_single_sample():
     rng = np.random.default_rng(6)
     X_src = rng.normal(size=(50, 2)) + 0.5
@@ -184,6 +197,14 @@ def test_report_too_few_samples():
     with pytest.raises(TooFewSamples):
         anchoring_report(model, tgt.features[:5], tgt.true_labels[:5], ratio,
                          fraction=0.1)
+
+
+def test_report_label_count_must_match_rows():
+    # one label per target row: shorter and longer vectors both raise
+    model, src, tgt, ratio = fitted_pair(seed=5)
+    for truth in (tgt.true_labels[:-1], np.append(tgt.true_labels, 0)):
+        with pytest.raises(RangeError):
+            anchoring_report(model, tgt.features, truth, ratio)
 
 
 def test_report_fraction_validation():

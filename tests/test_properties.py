@@ -153,6 +153,25 @@ def test_inner_solve_matches_replication(seed, K, quantile, max_iters):
     assert (state.anchors == state2.anchors).all()
 
 
+@PROPERTY
+@given(seed=st.integers(0, 10_000), K=st.integers(1, 4), d=st.integers(2, 6),
+       dim=st.integers(1, 3), quantile=st.floats(0.0, 1.0),
+       warm=st.booleans())
+def test_inner_solve_objective_never_increases(seed, K, d, dim, quantile, warm):
+    # each block update minimizes the objective given the others, so every
+    # history, cold or warm-started, is nonincreasing up to roundoff
+    Xs, labels, Xt, _ = make_instance(seed, n_per=8, K=K, d=d, shift=1.5)
+    config = PasConfig(dim=dim, inner_tol=1e-12)
+    dists0 = compute_distances(fit_class_subspaces(Xs, labels, config=config), Xt)
+    lam = float(np.quantile(dists0.min(axis=1), quantile))
+    state = None
+    if warm:
+        _, state, _ = inner_solve(Xs, labels, Xt, 0.5 * lam, config=config)
+    _, _, history = inner_solve(Xs, labels, Xt, lam, state, config)
+    for before, after in zip(history, history[1:]):
+        assert after <= before + 1e-9 * max(1.0, abs(before))
+
+
 def _per_class_distances(model, X):
     return np.column_stack([residuals_sq(S, X) for S in model.subspaces])
 

@@ -195,3 +195,9 @@ def test_errors():
         project(S, np.zeros(4))
     with pytest.raises(DimensionMismatch):
         residual_sq(S, np.zeros(2))
+    with pytest.raises(NonFinite):
+        residuals_sq(S, np.array([[0.0, np.nan, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        residuals_sq(S, np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        residuals_sq(S, np.zeros((2, 4)))
