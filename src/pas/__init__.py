@@ -38,7 +38,7 @@ from .data import (
     synth_shifted_pair,
 )
 from .diagnostics import DensityRatioModel, adr, anchoring_report, kliep_fit
-from .subspace import Subspace, fit_pca, project, residual_sq, residuals_sq
+from .subspace import Subspace, fit_pca, residuals_sq
 
 __version__ = "0.1.0"
 
@@ -50,6 +50,6 @@ __all__ = [
     "fit_class_subspaces", "fit_pca", "fit_progressive", "inner_solve",
     "kliep_fit", "lambda_for_fraction", "load_features", "load_labeled",
     "load_labels", "load_model", "nn1_classify", "objective", "pas_c",
-    "predict", "project", "residual_sq", "residuals_sq", "save_features",
-    "save_labels", "save_model", "synth_shifted_pair",
+    "predict", "residuals_sq", "save_features", "save_labels", "save_model",
+    "synth_shifted_pair",
 ]

@@ -129,15 +129,6 @@ class AnchorState:
     threshold: float
     distances: np.ndarray     # (m,) residual to the assigned subspace
 
-    def check(self):
-        """Assert the state invariants; raises AssertionError on violation."""
-        W, v, c = self.memberships, self.anchors, self.distances
-        assert W.ndim == 2 and (W.sum(axis=1) == 1).all(), "rows of W must be one-hot"
-        assert np.isin(v, (0, 1)).all(), "anchor indicators must be 0/1"
-        assert (c >= 0).all(), "distances must be nonnegative"
-        assert (c[v == 1] < self.threshold).all(), \
-            "anchored samples must satisfy distance < threshold"
-
 
 @dataclass
 class PasModel:
@@ -253,13 +244,18 @@ def lambda_for_fraction(c, fraction):
     return float(u * (1.0 + 1e-9) + 1e-12)
 
 
-def _source_groups(labels):
+def _source_groups(labels, num_rows):
+    """Source row indices of each class, after checking that labels has
+    one entry per source row (RangeError otherwise)."""
+    if labels.labels.shape[0] != num_rows:
+        raise RangeError("label count %d does not match %d source rows"
+                         % (labels.labels.shape[0], num_rows))
     return [np.flatnonzero(labels.labels == k) for k in range(labels.num_classes)]
 
 
 def _source_residual_total(model, X_s, labels):
     total = 0.0
-    for k, idx in enumerate(_source_groups(labels)):
+    for k, idx in enumerate(_source_groups(labels, X_s.shape[0])):
         total += float(residuals_sq(model.subspaces[k], X_s[idx]).sum())
     return total
 
@@ -295,13 +291,11 @@ class _ClassRefits:
 
     def __init__(self, X_s, labels, X_t=None):
         X_s = check_matrix(X_s, "source features")
-        if labels.labels.shape[0] != X_s.shape[0]:
-            raise RangeError("label count %d does not match %d source rows"
-                             % (labels.labels.shape[0], X_s.shape[0]))
+        groups = _source_groups(labels, X_s.shape[0])
         if X_t is not None:
             X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
         self.X_t = X_t
-        self.blocks = [X_s[idx] for idx in _source_groups(labels)]
+        self.blocks = [X_s[idx] for idx in groups]
         K = len(self.blocks)
         self.anchored = [None] * K
         self.subspaces = [None] * K

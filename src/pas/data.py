@@ -86,28 +86,21 @@ class SynthConfig:
             object.__setattr__(self, "pda_keep", keep)
 
 
-def load_features(path, fmt="csv"):
-    """Load a feature matrix from a CSV or binary file.
+def load_features(path):
+    """Load a feature matrix from a binary or CSV file.
 
-    A CSV field is a float in numpy's syntax, with optional surrounding
-    whitespace; blank and whitespace-only lines are skipped.  Raises
-    ParseError for a malformed or empty file and NonFinite for NaN/Inf.
+    A file whose first four bytes are the magic "PASM" is read as binary,
+    any other file as CSV (no CSV starts with "PASM").  A CSV field is a
+    float in numpy's syntax, with optional surrounding whitespace; blank
+    and whitespace-only lines are skipped.  Raises ParseError for a
+    malformed or empty file and NonFinite for NaN/Inf.
     """
-    if fmt == "csv":
-        with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
-        if not lines:
-            raise ParseError("%s: no rows" % path)
-        try:
-            X = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                           dtype=float)
-        except ValueError as exc:
-            raise ParseError("%s: %s" % (path, exc)) from exc
-    elif fmt == "bin":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 12 or blob[:4] != b"PASM":
-            raise ParseError("%s: bad magic (expected PASM)" % path)
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == b"PASM"
+        blob = b"PASM" + fh.read() if binary else None
+    if binary:
+        if len(blob) < 12:
+            raise ParseError("%s: PASM header shorter than 12 bytes" % path)
         n, d = struct.unpack("<II", blob[4:12])
         expected = 12 + n * d * 8
         if len(blob) != expected:
@@ -117,7 +110,15 @@ def load_features(path, fmt="csv"):
             raise ParseError("%s: no rows" % path)
         X = np.frombuffer(blob[12:], dtype="<f8").reshape(n, d).copy()
     else:
-        raise ConfigError("unknown feature format %r" % (fmt,))
+        with open(path) as fh:
+            lines = [line for line in fh if line.strip()]
+        if not lines:
+            raise ParseError("%s: no rows" % path)
+        try:
+            X = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                           dtype=float)
+        except ValueError as exc:
+            raise ParseError("%s: %s" % (path, exc)) from exc
     return check_matrix(X, path)
 
 
@@ -161,12 +162,12 @@ def save_labels(path, labels):
     atomic_write_text(path, "\n".join(str(int(v)) for v in labels) + "\n")
 
 
-def load_labeled(feature_path, label_path, fmt="csv"):
+def load_labeled(feature_path, label_path):
     """Load features plus labels, remapping labels to contiguous 0-based indices.
 
     The original-to-contiguous mapping is kept on the returned dataset.
     """
-    X = load_features(feature_path, fmt)
+    X = load_features(feature_path)
     raw = load_labels(label_path)
     if raw.shape[0] != X.shape[0]:
         raise RangeError("%s: %d labels for %d feature rows"

@@ -27,6 +27,10 @@ from .errors import (
 LOG_FLOOR = 1e-300
 # most halvings or doublings of the step in one line search
 MAX_STEP_SCALINGS = 60
+# most ascent steps, and the relative objective gain below which the
+# ascent stops
+MAX_ASCENT_STEPS = 500
+ASCENT_TOL = 1e-7
 
 
 @dataclass
@@ -40,9 +44,6 @@ class DensityRatioModel:
 
     def ratio(self, X):
         """Evaluate w(x) row-wise."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
         X = check_matrix(X, "samples", width=self.centers.shape[1])
         K = np.exp(-cdist(X, self.centers, "sqeuclidean")
                    / (2.0 * self.bandwidth ** 2))
@@ -75,8 +76,7 @@ def _feasible_ascent_direction(grad, alphas, b):
     return np.zeros_like(grad)
 
 
-def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
-              max_iters=500, tol=1e-7):
+def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
     """Fit the density-ratio model by projected gradient ascent.
 
     Parameters
@@ -92,12 +92,13 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
         among the centers.
     seed : int
         Seed for the center shuffle.
-    max_iters, tol : int, float
-        Ascent step cap and relative objective-change stopping tolerance.
-        Steps are accepted only if the objective does not decrease
-        (backtracking line search), and after every step the coefficients
-        are clipped at zero and rescaled so the ratio averages to one
-        over the target sample.
+
+    The ascent takes at most MAX_ASCENT_STEPS steps and stops early once a
+    step gains less than ASCENT_TOL of the objective (relative, floored at
+    1).  Steps are accepted only if the objective does not decrease
+    (backtracking line search), and after every step the coefficients are
+    clipped at zero and rescaled so the ratio averages to one over the
+    target sample.
     """
     X_src = check_matrix(X_src, "source samples")
     X_tgt = check_matrix(X_tgt, "target samples", width=X_src.shape[1])
@@ -132,7 +133,7 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
     history = [obj]
 
     step = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ASCENT_STEPS):
         grad = K_src.T @ (1.0 / np.maximum(K_src @ alphas, LOG_FLOOR))
         direction = _feasible_ascent_direction(grad, alphas, b)
         gnorm = float(np.linalg.norm(direction))
@@ -171,7 +172,7 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0,
         improvement = cand_obj - obj
         alphas, obj, step = cand, cand_obj, trial
         history.append(obj)
-        if improvement <= tol * max(1.0, abs(history[-2])):
+        if improvement <= ASCENT_TOL * max(1.0, abs(history[-2])):
             break
 
     return DensityRatioModel(centers=centers, alphas=alphas,

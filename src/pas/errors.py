@@ -25,7 +25,7 @@ class EmptyTarget(PasError):
 
 
 class ParseError(PasError):
-    """Malformed input file (bad row, inconsistent arity, bad magic)."""
+    """Malformed input file (bad row, inconsistent arity, bad PASM size)."""
 
 
 class RangeError(PasError):

@@ -6,11 +6,11 @@ set.  Its squared reconstruction residual doubles as the distance
 function used everywhere else in the package.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFit, check_matrix
+from .errors import EmptyFit, check_matrix
 
 # Eigenvalues below RANK_TOL * trace(covariance) are treated as zero rank.
 RANK_TOL = 1e-12
@@ -29,7 +29,7 @@ class Subspace:
 
     mean: np.ndarray
     basis: np.ndarray
-    spectrum: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    spectrum: np.ndarray
 
     @property
     def dim(self):
@@ -104,31 +104,6 @@ def fit_pca(X, dim):
             basis[:, j] = -basis[:, j]
 
     return Subspace(mean=mean, basis=basis, spectrum=spectrum)
-
-
-def _check_vector(S, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (S.dim,):
-        raise DimensionMismatch("expected a %d-vector, got shape %r"
-                                % (S.dim, x.shape))
-    return x
-
-
-def project(S, x):
-    """Coordinates of x in the subspace basis: basis.T @ (x - mean)."""
-    x = _check_vector(S, x)
-    return S.basis.T @ (x - S.mean)
-
-
-def residual_sq(S, x):
-    """Squared reconstruction residual of x against the subspace.
-
-    Zero exactly when x - mean lies in the span of the basis.
-    """
-    x = _check_vector(S, x)
-    y = x - S.mean
-    r = y - S.basis @ (S.basis.T @ y)
-    return float(r @ r)
 
 
 def residuals_sq(S, X):

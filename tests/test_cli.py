@@ -8,7 +8,7 @@ import pytest
 
 import pas
 from pas.cli import main
-from pas.data import load_features, load_labels
+from pas.data import load_features, load_labels, save_features
 
 
 def synth_args(prefix, classes=3, dim=5, per_class=20, rotation=0.3,
@@ -249,6 +249,16 @@ def test_bench_bad_seeds_exit_2(tmp_path):
                  "--out-csv", str(tmp_path / "b.csv")]) == 2
 
 
+def test_bench_unknown_suite_exit_2(tmp_path, capsys):
+    # argparse rejects the suite before any command runs
+    out = str(tmp_path / "b.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "nope", "--seeds", "1", "--out-csv", out])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_diagnose_end_to_end(tmp_path):
     prefix = make_data(tmp_path, per_class=40, translation=2.0, noise=1.0)
     model, _ = run_fit(tmp_path, prefix)
@@ -295,6 +305,33 @@ def test_diagnose_nonfinite_bandwidth_exit_2(tmp_path):
                      "--true-labels", prefix + "_target_labels.csv",
                      "--bandwidth", bandwidth, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_binary_features_give_byte_identical_outputs(tmp_path):
+    # every command that reads features recognises PASM by its magic bytes
+    prefix = make_data(tmp_path, per_class=40)
+    for name in ("_source", "_target"):
+        save_features(prefix + name + ".pasm",
+                      load_features(prefix + name + ".csv"), fmt="bin")
+    outputs = {}
+    for ext in ("csv", "pasm"):
+        out = {key: str(tmp_path / ("%s.%s" % (key, ext)))
+               for key in ("model", "trace", "pred", "report", "report_csv")}
+        source, target = prefix + "_source." + ext, prefix + "_target." + ext
+        assert main(["fit", "--source", source,
+                     "--labels", prefix + "_source_labels.csv",
+                     "--target", target, "--step", "0.25",
+                     "--eval-labels", prefix + "_target_labels.csv",
+                     "--out-model", out["model"],
+                     "--trace-csv", out["trace"]]) == 0
+        assert main(["predict", "--model", out["model"], "--features", target,
+                     "--out", out["pred"]]) == 0
+        assert main(["diagnose", "--model", out["model"], "--source", source,
+                     "--target", target,
+                     "--true-labels", prefix + "_target_labels.csv",
+                     "--out", out["report"], "--out-csv", out["report_csv"]]) == 0
+        outputs[ext] = {key: open(path, "rb").read() for key, path in out.items()}
+    assert outputs["pasm"] == outputs["csv"]
 
 
 def test_console_entry_point(tmp_path):

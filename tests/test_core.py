@@ -38,6 +38,24 @@ def make_instance(seed, n_per=8, K=2, d=3, shift=0.8):
     return Xs, SourceLabels(labels=ys, num_classes=K), Xt, ys.copy()
 
 
+def residual_sq(S, x):
+    """Squared residual of one row x, computed independently of the
+    library's matrix kernels."""
+    y = x - S.mean
+    r = y - S.basis @ (S.basis.T @ y)
+    return float(r @ r)
+
+
+def check_state(state):
+    """Assert the AnchorState invariants."""
+    W, v, c = state.memberships, state.anchors, state.distances
+    assert W.ndim == 2 and (W.sum(axis=1) == 1).all(), "rows of W must be one-hot"
+    assert np.isin(v, (0, 1)).all(), "anchor indicators must be 0/1"
+    assert (c >= 0).all(), "distances must be nonnegative"
+    assert (c[v == 1] < state.threshold).all(), \
+        "anchored samples must satisfy distance < threshold"
+
+
 def replicate_inner(Xs, labels, Xt, lam, config, warm_state=None):
     """The solver loop rebuilt from the public block updates; checks the
     state invariants and recomputes the objective at every step."""
@@ -49,7 +67,7 @@ def replicate_inner(Xs, labels, Xt, lam, config, warm_state=None):
         c = dists.min(axis=1)
         v = anchor(c, lam)
         state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
-        state.check()
+        check_state(state)
         history.append(objective(model, Xs, labels, Xt, state))
         if len(history) >= 2 and abs(history[-1] - history[-2]) \
                 <= config.inner_tol * max(1.0, abs(history[-2])):
@@ -85,7 +103,7 @@ def test_distances_entrywise_oracle():
     for j in range(Xt.shape[0]):
         for k in range(3):
             assert dists[j, k] == pytest.approx(
-                pas.residual_sq(model.subspaces[k], Xt[j]), rel=1e-9, abs=1e-12)
+                residual_sq(model.subspaces[k], Xt[j]), rel=1e-9, abs=1e-12)
 
 
 def test_distances_dimension_mismatch():
@@ -201,7 +219,7 @@ def test_objective_source_only_when_nothing_anchored():
     W = assign_memberships(dists)
     c = dists.min(axis=1)
     state = AnchorState(W, anchor(c, 0.0), 0.0, c)
-    source_total = sum(pas.residual_sq(model.subspaces[k], x)
+    source_total = sum(residual_sq(model.subspaces[k], x)
                        for x, k in zip(Xs, labels.labels))
     assert objective(model, Xs, labels, Xt, state) == pytest.approx(
         source_total, rel=1e-10)
@@ -239,14 +257,32 @@ def test_objective_term_by_term_summation_oracle():
     state = AnchorState(W, v, lam, c)
     total = 0.0
     for i in range(8):
-        total += pas.residual_sq(model.subspaces[ys[i]], Xs[i])
+        total += residual_sq(model.subspaces[ys[i]], Xs[i])
     for j in range(6):
         for k in range(2):
             if v[j] and W[j, k]:
-                total += pas.residual_sq(model.subspaces[k], Xt[j])
+                total += residual_sq(model.subspaces[k], Xt[j])
     total -= lam * float(v.sum())
     assert objective(model, Xs, labels, Xt, state) == pytest.approx(
         total, rel=1e-10)
+
+
+def test_objective_checks_label_count():
+    # 3 labels too few once summed a subset of the source rows, and 2 too
+    # many raised IndexError
+    Xs, labels, Xt, _ = make_instance(23)
+    model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
+    dists = compute_distances(model, Xt)
+    c = dists.min(axis=1)
+    state = AnchorState(assign_memberships(dists), anchor(c, 0.0), 0.0, c)
+    ys = labels.labels
+    for wrong in (ys[:-3], np.concatenate([ys, ys[:2]])):
+        bad = SourceLabels(labels=wrong, num_classes=labels.num_classes)
+        with pytest.raises(RangeError, match="label count"):
+            objective(model, Xs, bad, Xt, state)
+        # the fit reports the label count before a target-width defect
+        with pytest.raises(RangeError, match="label count"):
+            fit_progressive(Xs, bad, np.zeros((4, Xs.shape[1] + 1)))
 
 
 # --- inner_solve ------------------------------------------------------------

@@ -100,25 +100,28 @@ def test_binary_round_trip_bitwise(tmp_path):
     X = np.random.default_rng(1).normal(size=(13, 6))
     p = tmp_path / "f.pasm"
     save_features(str(p), X, fmt="bin")
-    Y = load_features(str(p), fmt="bin")
+    Y = load_features(str(p))
     assert X.tobytes() == Y.tobytes()
 
 
 def test_binary_magic_and_truncation(tmp_path):
     p = tmp_path / "f.pasm"
+    # without the magic the file is read as CSV, which this is not
     p.write_bytes(b"NOPE" + b"\x00" * 8)
     with pytest.raises(ParseError):
-        load_features(str(p), fmt="bin")
+        load_features(str(p))
     save_features(str(p), np.ones((2, 2)), fmt="bin")
     blob = p.read_bytes()
     p.write_bytes(blob[:-4])
     with pytest.raises(ParseError):
-        load_features(str(p), fmt="bin")
+        load_features(str(p))
 
 
-def test_unknown_format(tmp_path):
+def test_save_features_unknown_format(tmp_path):
+    p = tmp_path / "f"
     with pytest.raises(ConfigError):
-        load_features("whatever", fmt="hdf5")
+        save_features(str(p), np.ones((2, 2)), fmt="hdf5")
+    assert not p.exists()
 
 
 def test_labels_remapped_contiguous(tmp_path):

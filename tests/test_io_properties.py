@@ -1,15 +1,17 @@
 """Property tests for the file boundaries.
 
 Feature (CSV and binary) and label files round-trip bit for bit, and
-malformed CSV, label and model files make `pas fit` and `pas predict`
-exit with 2 or 3, writing nothing.  Each malformed file is a valid one
-with one defect, so every example is malformed by construction.
+malformed CSV, binary, label and model files make `pas fit` and
+`pas predict` exit with 2 or 3, writing nothing.  Each malformed file is
+a valid one with one defect, so every example is malformed by
+construction.
 """
 
 import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -42,7 +44,7 @@ def test_features_round_trip_bitwise(X, fmt):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x")
         save_features(path, X, fmt=fmt)
-        Y = load_features(path, fmt=fmt)
+        Y = load_features(path)
     assert Y.shape == X.shape
     # compare bits, so that -0.0 and 0.0 differ
     assert Y.tobytes() == X.tobytes()
@@ -137,6 +139,40 @@ def test_malformed_csv_exits_2_or_3(valid, data, command, key):
         key = "target"
     bad = data.draw(malformed_csv(valid[key]))
     assert run_cli(valid, command, key, bad) in (2, 3)
+
+
+def pasm_bytes(text):
+    """The PASM file holding the matrix of a feature CSV text."""
+    X = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+    return struct.pack("<4sII", b"PASM", *X.shape) + X.astype("<f8").tobytes()
+
+
+@st.composite
+def malformed_binary(draw, text):
+    blob = pasm_bytes(text)
+    defect = draw(st.sampled_from(["header", "short", "long", "empty", "text"]))
+    if defect == "header":
+        return blob[:draw(st.integers(4, 11))]
+    if defect == "short":
+        return blob[:-8]
+    if defect == "long":
+        return blob + draw(st.binary(min_size=8, max_size=8))
+    if defect == "empty":
+        n = draw(st.integers(0, 5))
+        shape = draw(st.sampled_from([(n, 0), (0, n)]))
+        return struct.pack("<4sII", b"PASM", *shape)
+    # the magic followed by CSV text
+    return b"PASM,1\n" + text.encode()
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["fit", "predict"]),
+       key=st.sampled_from(["source", "target"]))
+def test_malformed_binary_exits_2(valid, data, command, key):
+    if command == "predict":
+        key = "target"
+    bad = data.draw(malformed_binary(valid[key]))
+    assert run_cli(valid, command, key, bad) == 2
 
 
 @st.composite

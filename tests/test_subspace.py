@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pas import fit_pca, project, residual_sq, residuals_sq
+from pas import fit_pca, residuals_sq
 from pas.errors import DimensionMismatch, EmptyFit, NonFinite
 
 
@@ -10,8 +10,8 @@ def test_two_collinear_points():
     assert np.allclose(S.mean, [1.0, 0.0])
     # sign rule resolves the +/- ambiguity to (1, 0)
     assert np.allclose(S.basis[:, 0], [1.0, 0.0])
-    assert residual_sq(S, np.array([0.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
-    assert residual_sq(S, np.array([2.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert residuals_sq(S, np.array([[0.0, 0.0], [2.0, 0.0]])) == pytest.approx(
+        [0.0, 0.0], abs=1e-15)
 
 
 def test_full_dimensional_basis_reconstructs_exactly():
@@ -29,41 +29,16 @@ def test_total_residual_matches_char_poly_eigen_oracle():
     assert total == pytest.approx(1.9293838167497075, rel=1e-9)
 
 
-def test_project_at_mean_is_zero():
-    X = np.random.default_rng(1).normal(size=(8, 4))
-    S = fit_pca(X, dim=2)
-    assert np.allclose(project(S, S.mean), 0.0, atol=1e-15)
-
-
-def test_project_1d_geometry():
-    S = fit_pca(np.array([[0.0, 0.0], [2.0, 0.0]]), dim=1)
-    assert np.allclose(project(S, np.array([3.0, 0.0])), [2.0])
-
-
-def test_project_matches_naive_matmul_oracle():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(12, 5))
-    S = fit_pca(X, dim=3)
-    x = rng.normal(size=5)
-    coords = project(S, x)
-    y = x - S.mean
-    for j in range(S.effective_dim):
-        acc = 0.0
-        for i in range(5):
-            acc += S.basis[i, j] * y[i]
-        assert coords[j] == pytest.approx(acc, rel=1e-12, abs=1e-14)
-
-
 def test_residual_zero_for_in_span_point():
     X = np.random.default_rng(2).normal(size=(9, 4))
     S = fit_pca(X, dim=2)
     x = S.mean + S.basis @ np.array([0.7, -1.3])
-    assert residual_sq(S, x) < 1e-24
+    assert residuals_sq(S, x[None, :])[0] < 1e-24
 
 
 def test_residual_orthogonal_offset():
     S = fit_pca(np.array([[0.0, 0.0], [2.0, 0.0]]), dim=1)
-    assert residual_sq(S, np.array([1.0, 5.0])) == pytest.approx(25.0)
+    assert residuals_sq(S, np.array([[1.0, 5.0]]))[0] == pytest.approx(25.0)
 
 
 def test_residual_pythagoras_identity_oracle():
@@ -73,9 +48,10 @@ def test_residual_pythagoras_identity_oracle():
         S = fit_pca(X, dim=2)
         x = rng.normal(size=4)
         y = x - S.mean
-        coords = project(S, x)
+        coords = S.basis.T @ y
         expected = float(y @ y) - float(coords @ coords)
-        assert residual_sq(S, x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert residuals_sq(S, x[None, :])[0] == pytest.approx(
+            expected, rel=1e-10, abs=1e-12)
 
 
 def test_orthonormality_invariant():
@@ -125,8 +101,8 @@ def test_rotation_equivariance():
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     S = fit_pca(X, dim=2)
     S_rot = fit_pca(X @ Q.T, dim=2)
-    for x in X:
-        assert residual_sq(S_rot, Q @ x) == pytest.approx(residual_sq(S, x), abs=1e-8)
+    np.testing.assert_allclose(residuals_sq(S_rot, X @ Q.T), residuals_sq(S, X),
+                               rtol=0, atol=1e-8)
 
 
 def test_scale_covariance():
@@ -135,15 +111,14 @@ def test_scale_covariance():
     s = 2.37
     S = fit_pca(X, dim=2)
     S_scaled = fit_pca(s * X, dim=2)
-    for x in X:
-        assert residual_sq(S_scaled, s * x) == pytest.approx(
-            s * s * residual_sq(S, x), rel=1e-8)
+    np.testing.assert_allclose(residuals_sq(S_scaled, s * X),
+                               s * s * residuals_sq(S, X), rtol=1e-8)
 
 
 def test_single_point_fit_degrades_to_mean():
     S = fit_pca(np.array([[1.0, 2.0, 3.0]]), dim=2)
     assert S.effective_dim == 0
-    assert residual_sq(S, np.array([1.0, 2.0, 4.0])) == pytest.approx(1.0)
+    assert residuals_sq(S, np.array([[1.0, 2.0, 4.0]]))[0] == pytest.approx(1.0)
 
 
 def test_rank_clamping_on_duplicated_rows():
@@ -191,10 +166,6 @@ def test_errors():
     with pytest.raises(ValueError):
         fit_pca(np.ones((3, 2)), dim=0)
     S = fit_pca(np.random.default_rng(0).normal(size=(5, 3)), dim=1)
-    with pytest.raises(DimensionMismatch):
-        project(S, np.zeros(4))
-    with pytest.raises(DimensionMismatch):
-        residual_sq(S, np.zeros(2))
     with pytest.raises(NonFinite):
         residuals_sq(S, np.array([[0.0, np.nan, 1.0]]))
     with pytest.raises(DimensionMismatch):
