@@ -60,6 +60,9 @@ def cmd_fit(args):
                                num_classes=source.num_classes)
     model, trace = core.fit_progressive(source.features, labels, X_t,
                                         config, eval_labels)
+    model.label_values = np.array(sorted(source.label_mapping,
+                                         key=source.label_mapping.get),
+                                  dtype=np.int64)
     core.save_model(model, args.out_model)
     header = ["stage", "fraction", "lambda", "anchored", "objective"]
     if eval_labels is not None:
@@ -78,8 +81,7 @@ def cmd_fit(args):
 def cmd_predict(args):
     model = core.load_model(args.model)
     X = data.load_features(args.features)
-    labels = core.predict(model, X)
-    data.save_labels(args.out, labels)
+    data.save_labels(args.out, model.label_values[core.predict(model, X)])
     return 0
 
 

@@ -132,10 +132,19 @@ class AnchorState:
 
 @dataclass
 class PasModel:
-    """K fitted subspaces plus the configuration that produced them."""
+    """K fitted subspaces plus the configuration that produced them.
+
+    label_values[k] is the source label value of class index k; it
+    defaults to the identity 0..K-1.  predict returns class indices.
+    """
 
     subspaces: list
     config: PasConfig
+    label_values: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.label_values is None:
+            self.label_values = np.arange(len(self.subspaces), dtype=np.int64)
 
     @property
     def num_classes(self):
@@ -454,12 +463,13 @@ def predict(model, X):
 
 # --- model persistence ----------------------------------------------------
 #
-# JSON schema: {feature_dim, num_classes, dim,
+# JSON schema: {feature_dim, num_classes, label_values, dim,
 #               subspaces: [{mean, basis (column-major flat list), spectrum}],
 #               config: {dim, schedule_step, inner_tol, inner_max_iters}}
 # Floats are serialized via repr and round-trip exactly, so a reloaded
 # model reproduces predictions bit for bit.  Models written while PasConfig
-# still had a seed field carry config.seed, which loading ignores.
+# still had a seed field carry config.seed, which loading ignores; models
+# written before label_values existed load with the identity mapping.
 
 def model_to_dict(model):
     subspaces = []
@@ -472,6 +482,7 @@ def model_to_dict(model):
     return {
         "feature_dim": model.feature_dim,
         "num_classes": model.num_classes,
+        "label_values": [int(v) for v in model.label_values],
         "dim": model.config.dim,
         "subspaces": subspaces,
         "config": model.config.to_dict(),
@@ -507,11 +518,23 @@ def _subspace_from_dict(entry, d):
     return Subspace(mean=mean, basis=basis, spectrum=spectrum)
 
 
+def _label_values_from_list(values, num_classes):
+    # the values predict writes must load back as a label file
+    if (not isinstance(values, list) or len(values) != num_classes
+            or any(type(v) is not int or not 0 <= v <= data.LABEL_MAX
+                   for v in values)
+            or len(set(values)) != num_classes):
+        raise ConfigError("label_values must be %d distinct integers in "
+                          "[0, 2^63 - 1]" % num_classes)
+    return np.array(values, dtype=np.int64)
+
+
 def model_from_dict(doc):
     """Rebuild a model from its JSON document, raising ConfigError on a
     missing field, inconsistent shape, non-finite value, basis that is not
-    orthonormal within BASIS_ORTHONORMAL_TOL, or spectrum that is negative
-    or increasing."""
+    orthonormal within BASIS_ORTHONORMAL_TOL, spectrum that is negative
+    or increasing, or label_values that are not num_classes distinct
+    integers.  A document without label_values gets the identity."""
     try:
         d = int(doc["feature_dim"])
         num_classes = int(doc["num_classes"])
@@ -521,11 +544,14 @@ def model_from_dict(doc):
         config = PasConfig(**{key: value for key, value in doc["config"].items()
                               if key != "seed"})
         subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]
+        values = doc.get("label_values")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed model document: %s" % exc) from exc
     if len(subspaces) != num_classes:
         raise ConfigError("subspace count does not match num_classes")
-    return PasModel(subspaces=subspaces, config=config)
+    if values is not None:
+        values = _label_values_from_list(values, num_classes)
+    return PasModel(subspaces=subspaces, config=config, label_values=values)
 
 
 def save_model(model, path):

@@ -195,8 +195,9 @@ def anchoring_report(model, X_t, true_labels, ratio_model, fraction=0.05):
 
     Targets are ranked by their assigned-subspace squared residual; the
     top group is the smallest-distance `fraction` of samples and the
-    bottom group the largest-distance fraction.  true_labels must hold
-    one label per row of X_t (RangeError otherwise).
+    bottom group the largest-distance fraction.  true_labels hold label
+    values, compared with the model's label_values of the predicted
+    classes, one per row of X_t (RangeError otherwise).
     """
     if not (0.0 < fraction <= 0.5):
         raise ConfigError("fraction must be in (0, 0.5], got %r" % (fraction,))
@@ -214,7 +215,7 @@ def anchoring_report(model, X_t, true_labels, ratio_model, fraction=0.05):
     c = dists.min(axis=1)
     order = np.argsort(c, kind="stable")
     top, bottom = order[:group], order[-group:]
-    pred = predict(model, X_t)
+    pred = model.label_values[predict(model, X_t)]
 
     def summarize(idx):
         return {

@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 import pas
 from pas import PasConfig, SourceLabels, nn1_classify, pas_c
 from pas.data import LabeledDataset, Shift, SynthConfig, synth_shifted_pair
-from pas.errors import DimensionMismatch, NonFinite
+from pas.errors import DimensionMismatch, EmptySelection, NonFinite
 
 
 def labeled(features, labels):
@@ -78,6 +78,33 @@ def test_nn1_chunks_match_the_full_distance_matrix(monkeypatch, chunk):
     got = nn1_classify(src, X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
     assert nn1_classify(src, X_t[:0]).shape == (0,)
+
+
+def test_nn1_empty_source_raises():
+    src = LabeledDataset(features=np.zeros((0, 3)), labels=np.zeros(0, int),
+                         num_classes=1)
+    with pytest.raises(EmptySelection):
+        nn1_classify(src, np.zeros((2, 3)))
+
+
+def test_nn1_near_ties_take_the_cdist_recheck(monkeypatch):
+    # source rows duplicated up to 1e-9 and targets within 1e-9 of them,
+    # 1e3 from the origin: the GEMM scores of a row's two nearest source
+    # rows differ by less than their rounding, so only cdist can order them
+    rng = np.random.default_rng(0)
+    X_s = rng.normal(size=(30, 64)) + 1e3
+    X_s = np.vstack([X_s, X_s + rng.normal(size=X_s.shape) * 1e-9])
+    X_t = X_s[rng.integers(0, 60, size=40)] + rng.normal(size=(40, 64)) * 1e-9
+    rechecked = []
+
+    def counting_cdist(XA, XB):
+        rechecked.append(XA.shape[0])
+        return cdist(XA, XB)
+
+    monkeypatch.setattr(pas.baselines, "cdist", counting_cdist)
+    got = nn1_classify(labeled(X_s, np.arange(60)), X_t)
+    assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
+    assert sum(rechecked) > 0
 
 
 def test_pas_c_equals_source_only_fit():

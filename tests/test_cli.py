@@ -230,6 +230,35 @@ def test_fit_pseudo_acc_uses_source_label_mapping(tmp_path):
     assert [row.split(",")[-1] for row in rows] == ["0.0"] * len(rows)
 
 
+def test_predict_and_diagnose_use_source_label_values(tmp_path):
+    # zero shift: every target row is predicted right, so with the labels
+    # moved to {5, 6, 7} predict must write 5/6/7 and diagnose score 1.0
+    prefix = make_data(tmp_path, per_class=40, rotation=0.0, translation=0.0,
+                       noise=0.0)
+    for name in ("_source_labels.csv", "_target_labels.csv"):
+        pas.save_labels(prefix + "_moved" + name, load_labels(prefix + name) + 5)
+    model = str(tmp_path / "model.json")
+    assert main(["fit", "--source", prefix + "_source.csv",
+                 "--labels", prefix + "_moved_source_labels.csv",
+                 "--target", prefix + "_target.csv", "--step", "0.25",
+                 "--out-model", model,
+                 "--trace-csv", str(tmp_path / "trace.csv")]) == 0
+    assert json.loads(open(model).read())["label_values"] == [5, 6, 7]
+    pred = str(tmp_path / "pred.txt")
+    assert main(["predict", "--model", model,
+                 "--features", prefix + "_target.csv", "--out", pred]) == 0
+    truth = load_labels(prefix + "_moved_target_labels.csv")
+    assert np.array_equal(load_labels(pred), truth)
+    report = str(tmp_path / "report.json")
+    assert main(["diagnose", "--model", model,
+                 "--source", prefix + "_source.csv",
+                 "--target", prefix + "_target.csv",
+                 "--true-labels", prefix + "_moved_target_labels.csv",
+                 "--fraction", "0.1", "--out", report]) == 0
+    doc = json.loads(open(report).read())
+    assert doc["top"]["acc"] == 1.0 and doc["bottom"]["acc"] == 1.0
+
+
 def test_bench_writes_sorted_rows(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--suite", "pda", "--seeds", "2",
@@ -401,11 +430,50 @@ def _fractional_max_iters(doc):
     doc["config"]["inner_max_iters"] = 2.5
 
 
+def _label_values_short(doc):
+    doc["label_values"].pop()
+
+
+def _label_values_repeated(doc):
+    doc["label_values"][2] = doc["label_values"][0]
+
+
+def _label_values_fractional(doc):
+    doc["label_values"][1] = 1.5
+
+
+def _label_values_integral_float(doc):
+    doc["label_values"][1] = 1.0
+
+
+def _label_values_bool(doc):
+    doc["label_values"][1] = True
+
+
+def _label_values_string(doc):
+    doc["label_values"] = "012"
+
+
+def _label_values_negative(doc):
+    doc["label_values"][0] = -1
+
+
+def _label_values_beyond_int64(doc):
+    doc["label_values"][0] = 2 ** 63
+
+
+def _label_values_null_entry(doc):
+    doc["label_values"][2] = None
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
     _spectrum_wrong_length, _nonfinite_basis, _basis_not_orthonormal,
     _negative_spectrum, _increasing_spectrum, _nan_inner_tol,
-    _fractional_max_iters])
+    _fractional_max_iters, _label_values_short, _label_values_repeated,
+    _label_values_fractional, _label_values_integral_float,
+    _label_values_bool, _label_values_string, _label_values_negative,
+    _label_values_beyond_int64, _label_values_null_entry])
 def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")

@@ -566,8 +566,10 @@ def test_model_json_schema(tmp_path):
     path = tmp_path / "model.json"
     pas.save_model(model, str(path))
     doc = json.loads(path.read_text())
-    assert set(doc) == {"feature_dim", "num_classes", "dim", "subspaces", "config"}
+    assert set(doc) == {"feature_dim", "num_classes", "label_values", "dim",
+                        "subspaces", "config"}
     assert doc["feature_dim"] == 3 and doc["num_classes"] == 2 and doc["dim"] == 1
+    assert doc["label_values"] == [0, 1]
     assert set(doc["config"]) == {"dim", "schedule_step", "inner_tol",
                                   "inner_max_iters"}
     for entry in doc["subspaces"]:
@@ -588,6 +590,18 @@ def test_model_written_with_config_seed_still_loads(tmp_path):
     loaded = pas.load_model(str(path))
     assert core.model_to_dict(loaded) == doc
     assert (compute_distances(loaded, Xt) == compute_distances(model, Xt)).all()
+    assert (predict(loaded, Xt) == predict(model, Xt)).all()
+
+
+def test_model_written_without_label_values_loads_identity(tmp_path):
+    Xs, labels, Xt, _ = make_instance(29, K=3, d=4)
+    model, _ = fit_progressive(Xs, labels, Xt, PasConfig(dim=1, schedule_step=0.5))
+    model.label_values = np.array([5, 9, 7])
+    doc = core.model_to_dict(model)
+    assert core.model_from_dict(doc).label_values.tolist() == [5, 9, 7]
+    del doc["label_values"]
+    loaded = core.model_from_dict(doc)
+    assert loaded.label_values.tolist() == [0, 1, 2]
     assert (predict(loaded, Xt) == predict(model, Xt)).all()
 
 

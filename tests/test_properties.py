@@ -5,7 +5,8 @@ compute_distances, alone and inside a whole progressive fit.  The
 block-update replication from test_core is the oracle for inner_solve
 and, stage by stage, for fit_progressive: it refits every class and
 recomputes every distance on every iteration, where the solver reuses
-what did not change.
+what did not change.  argmin over scipy's cdist is the oracle for
+nn1_classify.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from pas import (
     PasConfig,
@@ -33,9 +35,10 @@ from pas import (
     residuals_sq,
     synth_shifted_pair,
 )
-from pas import core
+from pas import baselines, core
 from pas.cli import SUITES
 from pas.core import StageRecord, model_from_dict, model_to_dict
+from pas.data import LabeledDataset
 from pas.subspace import RANK_TOL
 from test_core import make_instance, replicate_inner
 
@@ -294,3 +297,33 @@ def test_absent_classes_are_fitted_once(monkeypatch):
     _, trace = fit_progressive(source.features, labels, target.features, config)
     assert len(trace) == 101
     assert fits == {k: 1 for k in absent}
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["grid", "normal", "duplicates", "near"]),
+       n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 300),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+       chunk=st.sampled_from([1, 7, 1024]))
+def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, chunk):
+    # integer grids tie exactly; duplicated source rows tie in every
+    # distance; targets within 1e-9 of a source row sit at the GEMM
+    # scores' rounding level, where only the cdist recheck can decide
+    rng = np.random.default_rng(seed)
+    shift = offset * rng.normal(size=d)
+    if kind == "grid":
+        X_s = rng.integers(-2, 3, size=(n, d)).astype(float)
+        X_t = rng.integers(-2, 3, size=(m, d)).astype(float)
+    else:
+        X_s = rng.normal(size=(n, d))
+        if kind != "normal":
+            X_s = np.vstack([X_s, X_s[rng.integers(0, n, size=n // 2 + 1)]])
+        X_t = (X_s[rng.integers(0, X_s.shape[0], size=m)]
+               + rng.normal(size=(m, d)) * (1e-9 if kind == "near" else 1e-3))
+    X_s, X_t = X_s + shift, X_t + shift
+    source = LabeledDataset(features=X_s, labels=np.arange(X_s.shape[0]),
+                            num_classes=X_s.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "NN1_CHUNK_ROWS", chunk)
+        got = baselines.nn1_classify(source, X_t)
+    assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
