@@ -4,7 +4,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import PasConfig, SourceLabels, fit_class_subspaces
-from .errors import EmptySelection, check_matrix
+from .errors import EmptySelection, RangeError, check_matrix
 
 # target rows per distance block: memory stays at NN1_CHUNK_ROWS x n
 # scores instead of m x n distances
@@ -40,13 +40,17 @@ def nn1_classify(source, X_t):
     NN1_CHUNK_ROWS x n block.  A row whose runner-up score is within the
     rounding bound of NN1_TIE_REL of its best is rechecked with cdist
     against every source row within that bound.  An empty source raises
-    EmptySelection.
+    EmptySelection, and a label count other than one per source row
+    RangeError.
     """
     X_s = check_matrix(source.features, "source features")
     X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
     n, d = X_s.shape
     if n == 0:
         raise EmptySelection("1NN needs at least one source row")
+    if len(source.labels) != n:
+        raise RangeError("label count %d does not match %d source rows"
+                         % (len(source.labels), n))
     m = X_t.shape[0]
     mu = X_s.sum(axis=0) / n
     S = X_s - mu

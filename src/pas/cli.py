@@ -52,17 +52,16 @@ def cmd_fit(args):
     if args.eval_labels:
         raw = data.load_labels(args.eval_labels)
         # the fit assigns class indices; a label the source lacks (-1) is a miss
-        mapping = source.label_mapping
-        eval_labels = np.array([mapping.get(int(v), -1) for v in raw],
-                               dtype=np.int64)
+        values = source.label_values
+        index = np.searchsorted(values, raw)
+        found = values[np.minimum(index, values.size - 1)] == raw
+        eval_labels = np.where(found, index, -1)
     config = core.PasConfig(dim=args.dim, schedule_step=args.step)
     labels = core.SourceLabels(labels=source.labels,
                                num_classes=source.num_classes)
     model, trace = core.fit_progressive(source.features, labels, X_t,
                                         config, eval_labels)
-    model.label_values = np.array(sorted(source.label_mapping,
-                                         key=source.label_mapping.get),
-                                  dtype=np.int64)
+    model.label_values = source.label_values
     core.save_model(model, args.out_model)
     header = ["stage", "fraction", "lambda", "anchored", "objective"]
     if eval_labels is not None:

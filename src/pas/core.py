@@ -26,7 +26,7 @@ class ends the inner loop.
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,29 +67,16 @@ class PasConfig:
 
     dim: int = 1
     schedule_step: float = 0.01
-    inner_tol: float = 1e-6
-    inner_max_iters: int = 50
+    # the inner solver's fixed stopping rule: class attributes, not fields
+    inner_tol = 1e-6
+    inner_max_iters = 50
 
     def __post_init__(self):
-        for name in ("dim", "inner_max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ConfigError("%s must be an integer >= 1, got %r"
-                                  % (name, value))
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise ConfigError("dim must be an integer >= 1, got %r" % (self.dim,))
         if not (0.0 < self.schedule_step <= 1.0):
             raise ConfigError("schedule_step must be in (0, 1], got %r"
                               % (self.schedule_step,))
-        if not (math.isfinite(self.inner_tol) and self.inner_tol > 0.0):
-            raise ConfigError("inner_tol must be finite and positive, got %r"
-                              % (self.inner_tol,))
-
-    def to_dict(self):
-        return {
-            "dim": self.dim,
-            "schedule_step": self.schedule_step,
-            "inner_tol": self.inner_tol,
-            "inner_max_iters": self.inner_max_iters,
-        }
 
 
 @dataclass
@@ -463,13 +450,17 @@ def predict(model, X):
 
 # --- model persistence ----------------------------------------------------
 #
-# JSON schema: {feature_dim, num_classes, label_values, dim,
+# JSON schema: {feature_dim, num_classes, label_values,
 #               subspaces: [{mean, basis (column-major flat list), spectrum}],
-#               config: {dim, schedule_step, inner_tol, inner_max_iters}}
+#               config: {dim, schedule_step}}
 # Floats are serialized via repr and round-trip exactly, so a reloaded
-# model reproduces predictions bit for bit.  Models written while PasConfig
-# still had a seed field carry config.seed, which loading ignores; models
-# written before label_values existed load with the identity mapping.
+# model reproduces predictions bit for bit.  Loading ignores the keys
+# earlier versions wrote (a top-level dim, and config.seed, inner_tol and
+# inner_max_iters); models written before label_values existed load with
+# the identity mapping.
+
+LEGACY_CONFIG_KEYS = ("seed", "inner_tol", "inner_max_iters")
+
 
 def model_to_dict(model):
     subspaces = []
@@ -483,9 +474,8 @@ def model_to_dict(model):
         "feature_dim": model.feature_dim,
         "num_classes": model.num_classes,
         "label_values": [int(v) for v in model.label_values],
-        "dim": model.config.dim,
         "subspaces": subspaces,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
     }
 
 
@@ -531,10 +521,11 @@ def _label_values_from_list(values, num_classes):
 
 def model_from_dict(doc):
     """Rebuild a model from its JSON document, raising ConfigError on a
-    missing field, inconsistent shape, non-finite value, basis that is not
-    orthonormal within BASIS_ORTHONORMAL_TOL, spectrum that is negative
-    or increasing, or label_values that are not num_classes distinct
-    integers.  A document without label_values gets the identity."""
+    missing field, unknown config key, inconsistent shape, non-finite
+    value, basis that is not orthonormal within BASIS_ORTHONORMAL_TOL,
+    spectrum that is negative or increasing, or label_values that are not
+    num_classes distinct integers.  The config keys in LEGACY_CONFIG_KEYS
+    are ignored, and a document without label_values gets the identity."""
     try:
         d = int(doc["feature_dim"])
         num_classes = int(doc["num_classes"])
@@ -542,7 +533,7 @@ def model_from_dict(doc):
             raise ConfigError("feature_dim and num_classes must be >= 1, "
                               "got %d and %d" % (d, num_classes))
         config = PasConfig(**{key: value for key, value in doc["config"].items()
-                              if key != "seed"})
+                              if key not in LEGACY_CONFIG_KEYS})
         subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]
         values = doc.get("label_values")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

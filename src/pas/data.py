@@ -41,7 +41,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    label_mapping: dict | None = None   # original label -> contiguous index
+    label_values: np.ndarray | None = None   # class index k -> label value
 
 
 @dataclass
@@ -165,7 +165,8 @@ def save_labels(path, labels):
 def load_labeled(feature_path, label_path):
     """Load features plus labels, remapping labels to contiguous 0-based indices.
 
-    The original-to-contiguous mapping is kept on the returned dataset.
+    The returned dataset's label_values holds the sorted distinct label
+    values, so class index k stands for label_values[k].
     """
     X = load_features(feature_path)
     raw = load_labels(label_path)
@@ -173,10 +174,9 @@ def load_labeled(feature_path, label_path):
         raise RangeError("%s: %d labels for %d feature rows"
                          % (label_path, raw.shape[0], X.shape[0]))
     classes = np.unique(raw)
-    mapping = {int(c): i for i, c in enumerate(classes)}
     labels = np.searchsorted(classes, raw)
     return LabeledDataset(features=X, labels=labels, num_classes=classes.size,
-                          label_mapping=mapping)
+                          label_values=classes)
 
 
 def _draw_separated_means(rng, K, d):

@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 import pas
 from pas import PasConfig, SourceLabels, nn1_classify, pas_c
 from pas.data import LabeledDataset, Shift, SynthConfig, synth_shifted_pair
-from pas.errors import DimensionMismatch, EmptySelection, NonFinite
+from pas.errors import DimensionMismatch, EmptySelection, NonFinite, RangeError
 
 
 def labeled(features, labels):
@@ -85,6 +85,16 @@ def test_nn1_empty_source_raises():
                          num_classes=1)
     with pytest.raises(EmptySelection):
         nn1_classify(src, np.zeros((2, 3)))
+
+
+def test_nn1_label_count_must_match_source_rows():
+    # fewer and more labels than source rows both raise
+    X_s = np.arange(10.0).reshape(5, 2)
+    for rows, count in ((5, 3), (2, 5)):
+        src = LabeledDataset(features=X_s[:rows], labels=np.arange(count),
+                             num_classes=count)
+        with pytest.raises(RangeError):
+            nn1_classify(src, np.zeros((2, 2)))
 
 
 def test_nn1_near_ties_take_the_cdist_recheck(monkeypatch):

@@ -422,12 +422,8 @@ def _increasing_spectrum(doc):
     entry["spectrum"] = [1.0, 2.0]
 
 
-def _nan_inner_tol(doc):
-    doc["config"]["inner_tol"] = float("nan")
-
-
-def _fractional_max_iters(doc):
-    doc["config"]["inner_max_iters"] = 2.5
+def _unknown_config_key(doc):
+    doc["config"]["inner_tolerance"] = 1e-6
 
 
 def _label_values_short(doc):
@@ -469,8 +465,8 @@ def _label_values_null_entry(doc):
 @pytest.mark.parametrize("corrupt", [
     _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
     _spectrum_wrong_length, _nonfinite_basis, _basis_not_orthonormal,
-    _negative_spectrum, _increasing_spectrum, _nan_inner_tol,
-    _fractional_max_iters, _label_values_short, _label_values_repeated,
+    _negative_spectrum, _increasing_spectrum, _unknown_config_key,
+    _label_values_short, _label_values_repeated,
     _label_values_fractional, _label_values_integral_float,
     _label_values_bool, _label_values_string, _label_values_negative,
     _label_values_beyond_int64, _label_values_null_entry])

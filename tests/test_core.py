@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -538,12 +539,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PasConfig(schedule_step=1.5)
     with pytest.raises(ConfigError):
-        PasConfig(inner_tol=0.0)
-    for bad in (dict(inner_tol=np.nan), dict(inner_tol=np.inf),
-                dict(inner_max_iters=2.5), dict(dim=2.5), dict(inner_max_iters=0)):
-        with pytest.raises(ConfigError):
-            PasConfig(**bad)
+        PasConfig(dim=2.5)
     assert PasConfig(dim=np.int64(3)).dim == 3
+    # the inner solver's stopping rule is fixed, not configurable
+    assert [f.name for f in dataclasses.fields(PasConfig)] == ["dim",
+                                                               "schedule_step"]
+    assert PasConfig().inner_tol == 1e-6 and PasConfig().inner_max_iters == 50
+    with pytest.raises(TypeError):
+        PasConfig(inner_max_iters=3)
 
 
 # --- persistence ------------------------------------------------------------
@@ -566,12 +569,11 @@ def test_model_json_schema(tmp_path):
     path = tmp_path / "model.json"
     pas.save_model(model, str(path))
     doc = json.loads(path.read_text())
-    assert set(doc) == {"feature_dim", "num_classes", "label_values", "dim",
+    assert set(doc) == {"feature_dim", "num_classes", "label_values",
                         "subspaces", "config"}
-    assert doc["feature_dim"] == 3 and doc["num_classes"] == 2 and doc["dim"] == 1
+    assert doc["feature_dim"] == 3 and doc["num_classes"] == 2
     assert doc["label_values"] == [0, 1]
-    assert set(doc["config"]) == {"dim", "schedule_step", "inner_tol",
-                                  "inner_max_iters"}
+    assert doc["config"] == {"dim": 1, "schedule_step": 1.0}
     for entry in doc["subspaces"]:
         assert set(entry) == {"mean", "basis", "spectrum"}
         assert len(entry["mean"]) == 3
@@ -579,16 +581,24 @@ def test_model_json_schema(tmp_path):
 
 
 def test_model_written_with_config_seed_still_loads(tmp_path):
-    # models saved while PasConfig had a seed field carry "seed": 0
+    # earlier model files carry a top-level dim after label_values and
+    # config.inner_tol and config.inner_max_iters; the oldest also carry
+    # config.seed, as PasConfig once had a seed field
     Xs, labels, Xt, _ = make_instance(28, K=3, d=4)
     model, _ = fit_progressive(Xs, labels, Xt, PasConfig(dim=2, schedule_step=0.5))
     doc = core.model_to_dict(model)
-    old = json.loads(json.dumps(doc))
-    old["config"]["seed"] = 0
+    old = {key: doc[key] for key in ("feature_dim", "num_classes",
+                                     "label_values")}
+    old["dim"] = 2
+    old["subspaces"] = doc["subspaces"]
+    old["config"] = {"dim": 2, "schedule_step": 0.5, "inner_tol": 1e-06,
+                     "inner_max_iters": 50, "seed": 0}
     path = tmp_path / "old.json"
     path.write_text(json.dumps(old, indent=2) + "\n")
     loaded = pas.load_model(str(path))
     assert core.model_to_dict(loaded) == doc
+    pas.save_model(loaded, str(path))
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
     assert (compute_distances(loaded, Xt) == compute_distances(model, Xt)).all()
     assert (predict(loaded, Xt) == predict(model, Xt)).all()
 

@@ -132,7 +132,7 @@ def test_labels_remapped_contiguous(tmp_path):
     ds = load_labeled(str(f), str(l))
     assert ds.labels.tolist() == [1, 0, 2]
     assert ds.num_classes == 3
-    assert ds.label_mapping == {3: 0, 7: 1, 9: 2}
+    assert ds.label_values.tolist() == [3, 7, 9]
 
 
 def test_labels_negative_rejected(tmp_path):

@@ -193,6 +193,27 @@ def test_report_group_structure():
         assert rep[side]["adr"] >= 0.0
 
 
+def test_report_computes_distances_once(monkeypatch):
+    # the labels are the argmin of the distance matrix the ranking uses
+    model, src, tgt, ratio = fitted_pair(seed=6)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pas.compute_distances(*args)
+
+    # predict looks compute_distances up in core
+    monkeypatch.setattr(pas.core, "compute_distances", counted)
+    monkeypatch.setattr(pas.diagnostics, "compute_distances", counted)
+    rep = anchoring_report(model, tgt.features, tgt.true_labels, ratio,
+                           fraction=0.5)
+    assert len(calls) == 1
+    # at fraction 0.5 the two groups partition the target
+    correct = (pas.predict(model, tgt.features) == tgt.true_labels).sum()
+    assert (rep["top"]["acc"] + rep["bottom"]["acc"]) * rep["group_size"] \
+        == pytest.approx(correct)
+
+
 def test_report_too_few_samples():
     model, src, tgt, ratio = fitted_pair(seed=3)
     with pytest.raises(TooFewSamples):

@@ -215,7 +215,6 @@ MODEL_DEFECTS = {
     ("config",): [None, "x", [], 1],
     ("config", "dim"): [None, "x", 0],
     ("config", "schedule_step"): [None, "x", 0.0, 2.0],
-    ("config", "inner_max_iters"): [None, 0],
     ("config", "unknown"): [1],
 }
 

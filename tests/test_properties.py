@@ -146,11 +146,13 @@ def test_fitted_model_passes_load_checks(seed, n, extra, k, cut, offset):
        quantile=st.floats(0.0, 1.0), max_iters=st.sampled_from([2, 3, 50]))
 def test_inner_solve_matches_replication(seed, K, quantile, max_iters):
     Xs, labels, Xt, _ = make_instance(seed, n_per=10, K=K, d=4, shift=1.5)
-    config = PasConfig(dim=1, inner_max_iters=max_iters)
+    config = PasConfig(dim=1)
     dists0 = compute_distances(fit_class_subspaces(Xs, labels, config=config), Xt)
     lam = float(np.quantile(dists0.min(axis=1), quantile))
-    _, state, history = inner_solve(Xs, labels, Xt, lam, config=config)
-    _, state2, history2 = replicate_inner(Xs, labels, Xt, lam, config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(PasConfig, "inner_max_iters", max_iters)
+        _, state, history = inner_solve(Xs, labels, Xt, lam, config=config)
+        _, state2, history2 = replicate_inner(Xs, labels, Xt, lam, config)
     assert history == history2
     assert (state.memberships == state2.memberships).all()
     assert (state.anchors == state2.anchors).all()
@@ -164,13 +166,15 @@ def test_inner_solve_objective_never_increases(seed, K, d, dim, quantile, warm):
     # each block update minimizes the objective given the others, so every
     # history, cold or warm-started, is nonincreasing up to roundoff
     Xs, labels, Xt, _ = make_instance(seed, n_per=8, K=K, d=d, shift=1.5)
-    config = PasConfig(dim=dim, inner_tol=1e-12)
+    config = PasConfig(dim=dim)
     dists0 = compute_distances(fit_class_subspaces(Xs, labels, config=config), Xt)
     lam = float(np.quantile(dists0.min(axis=1), quantile))
     state = None
-    if warm:
-        _, state, _ = inner_solve(Xs, labels, Xt, 0.5 * lam, config=config)
-    _, _, history = inner_solve(Xs, labels, Xt, lam, state, config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(PasConfig, "inner_tol", 1e-12)
+        if warm:
+            _, state, _ = inner_solve(Xs, labels, Xt, 0.5 * lam, config=config)
+        _, _, history = inner_solve(Xs, labels, Xt, lam, state, config)
     for before, after in zip(history, history[1:]):
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
@@ -272,8 +276,9 @@ def test_fit_matches_full_refit_oracle(seed, K, d, dim, keep, step, max_iters):
     Xs, labels, Xt, ys = make_instance(seed, n_per=8, K=K, d=d, shift=1.5)
     present = [k for k in range(K) if keep >> k & 1] or [0]
     rows = np.isin(ys, present)
-    config = PasConfig(dim=dim, schedule_step=step, inner_max_iters=max_iters)
+    config = PasConfig(dim=dim, schedule_step=step)
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(PasConfig, "inner_max_iters", max_iters)
         assert_fit_matches_oracle(monkeypatch, Xs, labels, Xt[rows], config,
                                   ys[rows])
 
