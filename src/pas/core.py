@@ -15,12 +15,12 @@ exact per-class residual every cell small enough to lose digits to that
 expansion.
 
 The solver keeps a per-class refit memo for the life of one fit.  It
-checks the fit's inputs once, and a class whose anchored target rows are
-unchanged keeps its subspace (and its source residual total) bit for bit
-instead of being refitted.  fit_pca is deterministic and the distance
-kernel depends only on the model and the target rows, so every reused
-value is the one a recomputation would give; a refit that changes no
-class ends the inner loop.
+checks the fit's inputs once and centres the target rows once.  A class
+whose anchored target rows are unchanged keeps its subspace, its source
+residual total and its distance column bit for bit instead of being
+refitted; only the columns of refitted classes are recomputed, which can
+move their last bits against a recomputation of every column.  A refit
+that changes no class ends the inner loop.
 """
 
 import json
@@ -47,11 +47,13 @@ from .subspace import Subspace, fit_pca, residuals_sq
 # Cells at or below it are recomputed with the exact per-class residual.
 EXACT_FALLBACK_REL = 1e-5
 
-# Largest |B'B - I| entry a loaded basis may show.  fit_pca's Gram route
-# (fewer rows than features) normalizes A'u by the square root of its
-# eigenvalue, which loses orthonormality in proportion to eps / RANK_TOL
-# (2.2e-4) for an eigenvalue at the rank cutoff; 13,500 nearly rank-deficient
-# probe fits reached 3.1e-4.  A genuinely wrong basis is off by order 1.
+# Largest |B'B - I| entry a loaded basis may show.  fit_pca's bases are
+# orthonormal to rounding.  Earlier versions' Gram route (fewer rows than
+# features) normalized A'u by the square root of its eigenvalue, which is
+# off in proportion to eps / RANK_TOL (2.2e-4) for an eigenvalue at the
+# rank cutoff (13,500 nearly rank-deficient probe fits reached 3.1e-4), and
+# the models they wrote must still load.  A genuinely wrong basis is off by
+# order 1.
 BASIS_ORTHONORMAL_TOL = 1e-3
 
 
@@ -77,6 +79,9 @@ class PasConfig:
         if not (0.0 < self.schedule_step <= 1.0):
             raise ConfigError("schedule_step must be in (0, 1], got %r"
                               % (self.schedule_step,))
+        # plain Python numbers, so a numpy scalar saves to JSON
+        self.dim = int(self.dim)
+        self.schedule_step = float(self.schedule_step)
 
 
 @dataclass
@@ -152,7 +157,15 @@ class StageRecord:
     pseudo_accuracy: float | None = None
 
 
-def compute_distances(model, X_t):
+def _centred_rows(X_t):
+    """(centre, X_t - centre, row-wise squared norms of X_t - centre), with
+    centre the mean of the rows of X_t (0 for an empty X_t)."""
+    centre = X_t.sum(axis=0) / max(X_t.shape[0], 1)
+    X_c = X_t - centre
+    return centre, X_c, np.einsum("ij,ij->i", X_c, X_c)
+
+
+def compute_distances(model, X_t, _memo=None):
     """m x K matrix of squared residuals of each row to each class subspace.
 
     With c the mean of the rows of X_t, one GEMM gives (x - c) against
@@ -161,40 +174,53 @@ def compute_distances(model, X_t):
     - sum over the columns b of class k of ((x - c)'b - (mu_k - c)'b)^2,
     clamped at 0.  Cells at or below EXACT_FALLBACK_REL times
     ||x - c||^2 + ||mu_k - c||^2 are recomputed with residuals_sq.
+
+    The solver passes its refit memo as _memo, which holds the checked
+    X_t centred once per fit, the distance matrix of its previous
+    subspaces and the classes its last refit changed; only those columns
+    are recomputed, by the same GEMM over their means and bases.
     """
-    d = model.feature_dim
-    X_t = check_matrix(X_t, "target features", width=d)
-    subspaces = model.subspaces
-    K = len(subspaces)
+    if _memo is None:
+        X_t = check_matrix(X_t, "target features", width=model.feature_dim)
+        centre, X_c, x_sq = _centred_rows(X_t)
+        classes, previous = range(model.num_classes), None
+    else:
+        # before its first distances the memo has refitted every class
+        centre, X_c, x_sq = _memo.centre, _memo.X_c, _memo.x_sq
+        classes, previous = _memo.refitted, _memo.dists
+    subspaces = [model.subspaces[k] for k in classes]
+    n = len(subspaces)
     dims = [S.effective_dim for S in subspaces]
     # filled in place so the GEMM operand is C-ordered whatever the bases'
     # order, which keeps the products bitwise reproducible
-    stacked = np.empty((d, K + sum(dims)))
-    stacked[:, :K] = np.array([S.mean for S in subspaces]).T
-    stacked[:, K:] = np.hstack([S.basis for S in subspaces])
-    # the centre comes from the rows, not the model: a class whose subspace
-    # did not change between solver iterations then keeps bitwise-equal
-    # distances, so a row whose distance set the threshold is not anchored
-    # by rounding (anchoring is the strict c < lam); an empty X_t gets 0
-    centre = X_t.sum(axis=0) / max(X_t.shape[0], 1)
-    stacked[:, :K] -= centre[:, None]
-    means, bases = stacked[:, :K], stacked[:, K:]
-    owner = np.repeat(np.arange(K), dims)
+    stacked = np.empty((X_c.shape[1], n + sum(dims)))
+    stacked[:, :n] = np.array([S.mean for S in subspaces]).T
+    stacked[:, n:] = np.hstack([S.basis for S in subspaces])
+    # the centre comes from the rows, not the model, so it is fixed for a
+    # fit and a class's column depends on that class alone: a class whose
+    # subspace did not change keeps bitwise-equal distances, so a row whose
+    # distance set the threshold is not anchored by rounding (anchoring is
+    # the strict c < lam)
+    stacked[:, :n] -= centre[:, None]
+    means, bases = stacked[:, :n], stacked[:, n:]
+    owner = np.repeat(np.arange(n), dims)
 
-    X_c = X_t - centre
     G = X_c @ stacked
-    x_sq = np.einsum("ij,ij->i", X_c, X_c)
     mu_sq = np.einsum("ij,ij->j", means, means)
-    proj = G[:, K:] - np.einsum("ij,ij->j", means[:, owner], bases)
-    in_class = np.zeros((owner.size, K))
+    proj = G[:, n:] - np.einsum("ij,ij->j", means[:, owner], bases)
+    in_class = np.zeros((owner.size, n))
     in_class[np.arange(owner.size), owner] = 1.0
     scale = x_sq[:, None] + mu_sq
-    dists = np.maximum(scale - 2.0 * G[:, :K] - (proj * proj) @ in_class, 0.0)
+    block = np.maximum(scale - 2.0 * G[:, :n] - (proj * proj) @ in_class, 0.0)
 
-    low = dists <= EXACT_FALLBACK_REL * scale
-    for k in np.flatnonzero(low.any(axis=0)):
-        rows = np.flatnonzero(low[:, k])
-        dists[rows, k] = residuals_sq(subspaces[k], X_t[rows])
+    low = block <= EXACT_FALLBACK_REL * scale
+    for j in np.flatnonzero(low.any(axis=0)):
+        rows = np.flatnonzero(low[:, j])
+        block[rows, j] = residuals_sq(subspaces[j], X_t[rows])
+    if previous is None:
+        return block
+    dists = previous.copy()
+    dists[:, classes] = block
     return dists
 
 
@@ -278,11 +304,14 @@ class _ClassRefits:
 
     Its constructor is where the solver checks a fit's inputs: X_s and,
     when given, X_t must be 2-D and finite with equal widths, and labels
-    must have one entry per source row.  It holds the checked X_t, each
-    class's source rows, and, per class, the anchored target row indices
-    its current subspace was fitted on, that subspace and its source
-    residual total (computed when first asked for).  dists is the
-    distance matrix of the current subspaces once the solver has set it.
+    must have one entry per source row.  It holds the checked X_t and,
+    for compute_distances, X_t centred on the mean of its rows with their
+    squared norms; each class's source rows; and, per class, the anchored
+    target row indices its current subspace was fitted on, that subspace
+    and its source residual total (computed when first asked for).
+    refitted lists the classes the last refit fitted anew, and dists is
+    the distance matrix of the current subspaces once the solver has set
+    it.
     """
 
     def __init__(self, X_s, labels, X_t=None):
@@ -290,20 +319,21 @@ class _ClassRefits:
         groups = _source_groups(labels, X_s.shape[0])
         if X_t is not None:
             X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
+            self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
         self.X_t = X_t
         self.blocks = [X_s[idx] for idx in groups]
         K = len(self.blocks)
         self.anchored = [None] * K
         self.subspaces = [None] * K
         self.residuals = [None] * K
-        self.changed = False
+        self.refitted = []
         self.dists = None
 
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
         with its membership and anchor indicator 1, in row order; a class
         whose anchored rows equal those of its stored subspace keeps it.
-        Sets changed to whether any class was refitted."""
+        Sets refitted to the indices of the classes refitted."""
         X_t = self.X_t
         K = len(self.blocks)
         picked = [np.zeros(0, dtype=np.intp)] * K
@@ -311,7 +341,7 @@ class _ClassRefits:
             anchored = state.anchors == 1
             picked = [np.flatnonzero((state.memberships[:, k] == 1) & anchored)
                       for k in range(K)]
-        self.changed = False
+        self.refitted = []
         for k, (block, rows_t) in enumerate(zip(self.blocks, picked)):
             if (self.subspaces[k] is not None
                     and np.array_equal(rows_t, self.anchored[k])):
@@ -320,7 +350,7 @@ class _ClassRefits:
             self.subspaces[k] = fit_pca(rows, dim=dim)
             self.anchored[k] = rows_t
             self.residuals[k] = None
-            self.changed = True
+            self.refitted.append(k)
         return list(self.subspaces)
 
     def source_total(self):
@@ -374,8 +404,8 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     for _ in range(config.inner_max_iters):
         model = fit_class_subspaces(X_s, labels, X_t, state, config,
                                     _refits=_refits)
-        if _refits.changed:
-            _refits.dists = compute_distances(model, X_t)
+        if _refits.refitted:
+            _refits.dists = compute_distances(model, X_t, _memo=_refits)
         elif history:
             history.append(history[-1])
             break

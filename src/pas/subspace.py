@@ -9,6 +9,7 @@ function used everywhere else in the package.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import EmptyFit, check_matrix
 
@@ -41,6 +42,17 @@ class Subspace:
         return self.basis.shape[1]
 
 
+def _top_eigenpairs(M, r):
+    """Top r eigenpairs of the symmetric matrix M (its lower triangle),
+    eigenvalues nonincreasing, from LAPACK's dsyevr."""
+    size = M.shape[0]
+    evals, evecs, _, _, info = lapack.dsyevr(M, compute_v=1, range="I",
+                                             lower=1, il=size - r + 1, iu=size)
+    if info != 0:
+        raise np.linalg.LinAlgError("dsyevr failed with info %d" % info)
+    return evals[r - 1::-1], evecs[:, ::-1]
+
+
 def fit_pca(X, dim):
     """Fit the top-`dim` principal directions of the rows of X.
 
@@ -57,7 +69,10 @@ def fit_pca(X, dim):
     Subspace
         Deterministic across runs: eigenvalues sorted nonincreasing and
         each basis column flipped so its largest-magnitude entry is
-        nonnegative.
+        nonnegative.  Only the top min(dim, d) eigenpairs of the d x d
+        covariance (d <= n) or min(dim, n) of the n x n Gram matrix
+        (d > n) are computed, and the basis is orthonormal to rounding
+        on both routes.
     """
     X = check_matrix(X, "sample matrix")
     n, d = X.shape
@@ -74,28 +89,25 @@ def fit_pca(X, dim):
 
     if d <= n:
         # d x d covariance route
-        cov = (Y * w[:, None]).T @ Y
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1]
-        evecs = evecs[:, ::-1]
+        M = (Y * w[:, None]).T @ Y
     else:
         # n x n Gram route for wide data
         A = np.sqrt(w)[:, None] * Y
-        gram = A @ A.T
-        evals, units = np.linalg.eigh(gram)
-        evals = evals[::-1]
-        units = units[:, ::-1]
-        pos = evals > 0
-        evecs = np.zeros((d, n))
-        if pos.any():
-            evecs[:, pos] = (A.T @ units[:, pos]) / np.sqrt(evals[pos])
+        M = A @ A.T
+    evals, evecs = _top_eigenpairs(M, min(int(dim), M.shape[0]))
 
-    trace = max(float(evals.sum()), 0.0)
+    trace = float(np.trace(M))   # a sum of squares, so >= 0
     rank = int((evals > RANK_TOL * trace).sum())
     d_eff = min(int(dim), d, max(n - 1, 0), rank)
 
-    basis = evecs[:, :d_eff].copy()
     spectrum = np.maximum(evals[:d_eff], 0.0)
+    if d <= n:
+        basis = evecs[:, :d_eff].copy()
+    else:
+        # A'u / sqrt(eigenvalue) would be orthonormal only to about
+        # eps * trace / eigenvalue (eps / RANK_TOL at the rank cutoff), so
+        # one QR orthonormalizes the kept columns A'u instead
+        basis = np.linalg.qr(A.T @ evecs[:, :d_eff])[0]
 
     # sign convention: largest-magnitude entry of each column nonnegative
     for j in range(d_eff):

@@ -563,6 +563,18 @@ def test_model_round_trip_reproduces_predictions_exactly(tmp_path):
     assert (dists == dists_loaded).all()
 
 
+def test_numpy_scalar_config_saves_and_reloads(tmp_path):
+    Xs, labels, Xt, _ = make_instance(26, K=3, d=5)
+    config = PasConfig(dim=np.int64(1), schedule_step=np.float32(0.5))
+    assert type(config.dim) is int and type(config.schedule_step) is float
+    model, _ = fit_progressive(Xs, labels, Xt, config)
+    path = tmp_path / "model.json"
+    pas.save_model(model, str(path))
+    loaded = pas.load_model(str(path))
+    assert loaded.config == PasConfig(dim=1, schedule_step=0.5)
+    assert (predict(loaded, Xt) == predict(model, Xt)).all()
+
+
 def test_model_json_schema(tmp_path):
     Xs, labels, Xt, _ = make_instance(27, K=2, d=3)
     model, _ = fit_progressive(Xs, labels, Xt, PasConfig(dim=1, schedule_step=1.0))

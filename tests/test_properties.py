@@ -179,7 +179,8 @@ def test_inner_solve_objective_never_increases(seed, K, d, dim, quantile, warm):
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
-def _per_class_distances(model, X):
+def _per_class_distances(model, X, _memo=None):
+    # every column, whatever the solver's memo says changed
     return np.column_stack([residuals_sq(S, X) for S in model.subspaces])
 
 
@@ -252,8 +253,17 @@ def assert_fit_matches_oracle(monkeypatch, Xs, labels, Xt, config,
     oracle_model, oracle_trace, oracle_histories = replicate_progressive(
         Xs, labels, Xt, config, eval_labels)
     assert isinstance(trace, list)
-    assert trace == oracle_trace
-    assert histories == oracle_histories
+    # the solver recomputes only the distance columns of refitted classes,
+    # which moves the last bits of those columns against a full recompute
+    exact = ("stage", "fraction", "anchored", "pseudo_accuracy")
+    assert ([[getattr(r, name) for name in exact] for r in trace]
+            == [[getattr(r, name) for name in exact] for r in oracle_trace])
+    for name in ("threshold", "objective"):
+        assert [getattr(r, name) for r in trace] == pytest.approx(
+            [getattr(r, name) for r in oracle_trace], rel=1e-9)
+    assert [len(h) for h in histories] == [len(h) for h in oracle_histories]
+    for history, oracle_history in zip(histories, oracle_histories):
+        assert history == pytest.approx(oracle_history, rel=1e-9)
     for S, T in zip(model.subspaces, oracle_model.subspaces):
         for name in ("mean", "basis", "spectrum"):
             assert getattr(S, name).tobytes() == getattr(T, name).tobytes()

@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pas import fit_pca, residuals_sq
+from pas import Subspace, fit_pca, residuals_sq
 from pas.errors import DimensionMismatch, EmptyFit, NonFinite
+from pas.subspace import RANK_TOL
+
+
+def full_eigh_fit(X, dim):
+    """fit_pca from every eigenpair of the covariance (d <= n) or Gram
+    (d > n) matrix, with Gram-route columns A'u / sqrt(eigenvalue): the
+    reference for fit_pca, which computes only the kept eigenpairs."""
+    n, d = X.shape
+    w = np.full(n, 1.0 / n)
+    mean = w @ X
+    Y = X - mean
+    if d <= n:
+        evals, evecs = np.linalg.eigh((Y * w[:, None]).T @ Y)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+    else:
+        A = np.sqrt(w)[:, None] * Y
+        evals, units = np.linalg.eigh(A @ A.T)
+        evals, units = evals[::-1], units[:, ::-1]
+        pos = evals > 0
+        evecs = np.zeros((d, n))
+        if pos.any():
+            evecs[:, pos] = (A.T @ units[:, pos]) / np.sqrt(evals[pos])
+    trace = max(float(evals.sum()), 0.0)
+    rank = int((evals > RANK_TOL * trace).sum())
+    d_eff = min(int(dim), d, max(n - 1, 0), rank)
+    return Subspace(mean=mean, basis=evecs[:, :d_eff].copy(),
+                    spectrum=np.maximum(evals[:d_eff], 0.0))
 
 
 def test_two_collinear_points():
@@ -172,3 +201,40 @@ def test_errors():
         residuals_sq(S, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         residuals_sq(S, np.zeros((2, 4)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+       d=st.integers(1, 279), dim=st.integers(1, 6),
+       kind=st.sampled_from(["normal", "low_rank", "near_cutoff"]),
+       cut=st.sampled_from([0.25, 4.0]), offset=st.sampled_from([0.0, 1.0, 1e2]))
+def test_fit_pca_matches_full_eigh_oracle(seed, n, d, dim, kind, cut, offset):
+    # both routes (d <= n covariance, d > n Gram); low_rank fits fewer
+    # directions than dim, and near_cutoff puts the last of them at cut
+    # times the rank cutoff, away from it by more than the solvers' error
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0, size=d)
+    else:
+        k = min(int(rng.integers(1, dim + 1)), n - 1, d)
+        if k < 1:
+            X = np.zeros((n, d))
+        else:
+            spectrum = np.sort(10.0 ** rng.uniform(-3, 0, size=k))[::-1]
+            if kind == "near_cutoff" and k >= 2:
+                spectrum[-1] = RANK_TOL * cut * spectrum[:-1].sum()
+            # columns orthogonal to the ones vector, so the rows are centred
+            U = np.linalg.qr(np.column_stack(
+                [np.ones(n), rng.normal(size=(n, k))]))[0][:, 1:]
+            V = np.linalg.qr(rng.normal(size=(d, k)))[0]
+            X = (U * np.sqrt(spectrum * n)) @ V.T
+    X = X + offset * rng.normal(size=d)
+    S, O = fit_pca(X, dim), full_eigh_fit(X, dim)
+    assert S.effective_dim == O.effective_dim
+    Y = X - O.mean
+    total_ss = float((Y * Y).sum())
+    assert np.abs(S.spectrum - O.spectrum).max(initial=0.0) <= 1e-10 * total_ss / n
+    assert float(residuals_sq(S, X).sum()) == pytest.approx(
+        float(residuals_sq(O, X).sum()), rel=1e-10, abs=1e-10 * total_ss)
+    r = S.effective_dim
+    assert np.abs(S.basis.T @ S.basis - np.eye(r)).max(initial=0.0) <= 1e-12
