@@ -74,11 +74,12 @@ class PasConfig:
     inner_max_iters = 50
 
     def __post_init__(self):
-        if not isinstance(self.dim, numbers.Integral) or self.dim < 1:
-            raise ConfigError("dim must be an integer >= 1, got %r" % (self.dim,))
-        if not (0.0 < self.schedule_step <= 1.0):
-            raise ConfigError("schedule_step must be in (0, 1], got %r"
-                              % (self.schedule_step,))
+        dim, step = self.dim, self.schedule_step
+        # a bool is an Integral that compares as 0 or 1, but is no setting
+        if type(dim) is bool or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ConfigError("dim must be an integer >= 1, got %r" % (dim,))
+        if type(step) is bool or not 0.0 < step <= 1.0:
+            raise ConfigError("schedule_step must be in (0, 1], got %r" % (step,))
         # plain Python numbers, so a numpy scalar saves to JSON
         self.dim = int(self.dim)
         self.schedule_step = float(self.schedule_step)
@@ -266,43 +267,31 @@ def lambda_for_fraction(c, fraction):
     return float(u * (1.0 + 1e-9) + 1e-12)
 
 
-def _source_groups(labels, num_rows):
-    """Source row indices of each class, after checking that labels has
-    one entry per source row (RangeError otherwise)."""
-    if labels.labels.shape[0] != num_rows:
-        raise RangeError("label count %d does not match %d source rows"
-                         % (labels.labels.shape[0], num_rows))
-    return [np.flatnonzero(labels.labels == k) for k in range(labels.num_classes)]
-
-
-def _source_residual_total(model, X_s, labels):
-    total = 0.0
-    for k, idx in enumerate(_source_groups(labels, X_s.shape[0])):
-        total += float(residuals_sq(model.subspaces[k], X_s[idx]).sum())
-    return total
-
-
 def _objective_value(source_total, dists, W, v, lam):
     target_term = float((v * (W * dists).sum(axis=1)).sum())
     return source_total + target_term - lam * float(v.sum())
 
 
 def objective(model, X_s, labels, X_t, state):
-    """Unified objective: source residuals + anchored target residuals - lam * #anchored."""
-    X_s = check_matrix(X_s, "source features", width=model.feature_dim)
+    """Unified objective: source residuals + anchored target residuals - lam * #anchored.
+
+    A fresh refit memo sums the source term over model's subspaces;
+    residuals_sq rejects an X_s of another width (DimensionMismatch)."""
+    refits = _ClassRefits(X_s, labels)
+    refits.subspaces = list(model.subspaces)
     dists = compute_distances(model, X_t)
     W = state.memberships
     if W.shape != dists.shape:
         raise DimensionMismatch("membership shape %r does not match distances %r"
                                 % (W.shape, dists.shape))
-    return _objective_value(_source_residual_total(model, X_s, labels), dists,
-                            W, state.anchors, state.threshold)
+    return _objective_value(refits.source_total(), dists, W, state.anchors,
+                            state.threshold)
 
 
 class _ClassRefits:
     """Per-class refit memo for the life of one fit.
 
-    Its constructor is where the solver checks a fit's inputs: X_s and,
+    Its constructor is where a fit and objective check their inputs: X_s and,
     when given, X_t must be 2-D and finite with equal widths, and labels
     must have one entry per source row.  It holds the checked X_t and,
     for compute_distances, X_t centred on the mean of its rows with their
@@ -316,12 +305,14 @@ class _ClassRefits:
 
     def __init__(self, X_s, labels, X_t=None):
         X_s = check_matrix(X_s, "source features")
-        groups = _source_groups(labels, X_s.shape[0])
+        if labels.labels.shape[0] != X_s.shape[0]:
+            raise RangeError("label count %d does not match %d source rows"
+                             % (labels.labels.shape[0], X_s.shape[0]))
         if X_t is not None:
             X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
             self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
         self.X_t = X_t
-        self.blocks = [X_s[idx] for idx in groups]
+        self.blocks = [X_s[labels.labels == k] for k in range(labels.num_classes)]
         K = len(self.blocks)
         self.anchored = [None] * K
         self.subspaces = [None] * K
@@ -333,11 +324,16 @@ class _ClassRefits:
         """Fit each class on its source rows followed by the target rows
         with its membership and anchor indicator 1, in row order; a class
         whose anchored rows equal those of its stored subspace keeps it.
-        Sets refitted to the indices of the classes refitted."""
+        Sets refitted to the indices of the classes refitted.  A state
+        whose shapes are not (m, K) and (m,) raises DimensionMismatch."""
         X_t = self.X_t
         K = len(self.blocks)
         picked = [np.zeros(0, dtype=np.intp)] * K
         if state is not None and X_t is not None:
+            m = X_t.shape[0]
+            if state.memberships.shape != (m, K) or state.anchors.shape != (m,):
+                raise DimensionMismatch("state must hold (%d, %d) memberships and "
+                                        "(%d,) anchors" % (m, K, m))
             anchored = state.anchors == 1
             picked = [np.flatnonzero((state.memberships[:, k] == 1) & anchored)
                       for k in range(K)]
@@ -355,7 +351,7 @@ class _ClassRefits:
 
     def source_total(self):
         """Source residual total of the current subspaces, summed in class
-        order from 0.0 as _source_residual_total sums it."""
+        order from 0.0."""
         total = 0.0
         for k, block in enumerate(self.blocks):
             if self.residuals[k] is None:
@@ -422,10 +418,6 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     return model, state, history
 
 
-def _accuracy(pred, truth):
-    return float(np.mean(pred == truth))
-
-
 def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     """Run the full progressive schedule and return (model, trace), with
     trace a list of one StageRecord per stage.
@@ -447,28 +439,21 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
         if eval_labels.shape[0] != X_t.shape[0]:
             raise RangeError("eval label count does not match target rows")
 
-    def record(stage, fraction, lam, state, history):
-        acc = None
-        if eval_labels is not None:
-            acc = _accuracy(np.argmax(state.memberships, axis=1), eval_labels)
-        trace.append(StageRecord(stage=stage, fraction=fraction, threshold=lam,
-                                 anchored=int(state.anchors.sum()),
-                                 objective=history[-1], pseudo_accuracy=acc))
-
-    trace = []
-    model, state, history = inner_solve(X_s, labels, X_t, 0.0, None, config,
-                                        _refits=refits)
-    record(0, 0.0, 0.0, state, history)
-
     step = config.schedule_step
     num_stages = int(math.ceil(1.0 / step - 1e-9))
-    lam = 0.0
-    for s in range(1, num_stages + 1):
+    trace = []
+    state, lam = None, 0.0
+    for s in range(num_stages + 1):
         fraction = 1.0 if s == num_stages else min(1.0, s * step)
-        lam = max(lam, lambda_for_fraction(state.distances, fraction))
+        if s > 0:
+            lam = max(lam, lambda_for_fraction(state.distances, fraction))
         model, state, history = inner_solve(X_s, labels, X_t, lam, state, config,
                                             _refits=refits)
-        record(s, fraction, lam, state, history)
+        acc = None if eval_labels is None else float(
+            np.mean(np.argmax(state.memberships, axis=1) == eval_labels))
+        trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
+                                 anchored=int(state.anchors.sum()),
+                                 objective=history[-1], pseudo_accuracy=acc))
     return model, trace
 
 
@@ -557,11 +542,10 @@ def model_from_dict(doc):
     num_classes distinct integers.  The config keys in LEGACY_CONFIG_KEYS
     are ignored, and a document without label_values gets the identity."""
     try:
-        d = int(doc["feature_dim"])
-        num_classes = int(doc["num_classes"])
-        if d < 1 or num_classes < 1:
-            raise ConfigError("feature_dim and num_classes must be >= 1, "
-                              "got %d and %d" % (d, num_classes))
+        d, num_classes = doc["feature_dim"], doc["num_classes"]
+        if not all(type(n) is int and n >= 1 for n in (d, num_classes)):
+            raise ConfigError("feature_dim and num_classes must be JSON integers "
+                              ">= 1, got %r and %r" % (d, num_classes))
         config = PasConfig(**{key: value for key, value in doc["config"].items()
                               if key not in LEGACY_CONFIG_KEYS})
         subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]

@@ -402,6 +402,15 @@ def _spectrum_wrong_length(doc):
     doc["subspaces"][0]["spectrum"].append(0.1)
 
 
+def _spectrum_nested(doc):
+    entry = doc["subspaces"][0]
+    entry["spectrum"] = [[value] for value in entry["spectrum"]]
+
+
+def _subspace_missing(doc):
+    doc["subspaces"].pop()
+
+
 def _nonfinite_basis(doc):
     doc["subspaces"][2]["basis"][0] = float("nan")
 
@@ -424,6 +433,22 @@ def _increasing_spectrum(doc):
 
 def _unknown_config_key(doc):
     doc["config"]["inner_tolerance"] = 1e-6
+
+
+def _config_dim_bool(doc):
+    doc["config"]["dim"] = True
+
+
+def _feature_dim_fractional(doc):
+    doc["feature_dim"] += 0.7
+
+
+def _feature_dim_string(doc):
+    doc["feature_dim"] = str(doc["feature_dim"])
+
+
+def _num_classes_integral_float(doc):
+    doc["num_classes"] = float(doc["num_classes"])
 
 
 def _label_values_short(doc):
@@ -464,8 +489,11 @@ def _label_values_null_entry(doc):
 
 @pytest.mark.parametrize("corrupt", [
     _drop_num_classes, _no_classes, _short_mean, _basis_wrong_size,
-    _spectrum_wrong_length, _nonfinite_basis, _basis_not_orthonormal,
+    _spectrum_wrong_length, _spectrum_nested, _subspace_missing,
+    _nonfinite_basis, _basis_not_orthonormal,
     _negative_spectrum, _increasing_spectrum, _unknown_config_key,
+    _config_dim_bool, _feature_dim_fractional, _feature_dim_string,
+    _num_classes_integral_float,
     _label_values_short, _label_values_repeated,
     _label_values_fractional, _label_values_integral_float,
     _label_values_bool, _label_values_string, _label_values_negative,

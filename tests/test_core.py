@@ -210,6 +210,12 @@ def test_lambda_fraction_empty_target():
         lambda_for_fraction(np.zeros(0), 0.5)
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
+def test_lambda_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ConfigError, match="fraction must be in"):
+        lambda_for_fraction(np.array([0.1, 0.2, 0.3]), fraction)
+
+
 # --- objective --------------------------------------------------------------
 
 def test_objective_source_only_when_nothing_anchored():
@@ -286,7 +292,46 @@ def test_objective_checks_label_count():
             fit_progressive(Xs, bad, np.zeros((4, Xs.shape[1] + 1)))
 
 
+@pytest.mark.parametrize("shape", [(5, 2), (16, 3), (16,)])
+def test_objective_checks_membership_shape(shape):
+    Xs, labels, Xt, _ = make_instance(23)
+    model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
+    c = compute_distances(model, Xt).min(axis=1)
+    W = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(DimensionMismatch, match="membership shape"):
+        objective(model, Xs, labels, Xt, AnchorState(W, anchor(c, 0.0), 0.0, c))
+
+
+def test_objective_checks_source_width():
+    Xs, labels, Xt, _ = make_instance(23)
+    model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
+    dists = compute_distances(model, Xt)
+    c = dists.min(axis=1)
+    state = AnchorState(assign_memberships(dists), anchor(c, 0.0), 0.0, c)
+    with pytest.raises(DimensionMismatch):
+        objective(model, Xs[:, :-1], labels, Xt, state)
+
+
 # --- inner_solve ------------------------------------------------------------
+
+@pytest.mark.parametrize("memberships, anchors", [
+    ((5, 2), (5,)),   # too few rows once fitted on the wrong target rows
+    ((9, 2), (9,)),   # too many rows once raised a bare IndexError
+    ((8, 1), (8,)),   # fewer than K columns likewise
+    ((8, 2), (5,)),   # short anchors once failed to broadcast
+])
+def test_warm_state_of_wrong_shape_rejected(memberships, anchors):
+    Xs, labels, Xt, _ = make_instance(30, n_per=4, K=2)
+    assert Xt.shape[0] == 8
+    W = np.zeros(memberships, dtype=np.int64)
+    W[:, 0] = 1
+    v = np.ones(anchors, dtype=np.int64)
+    state = AnchorState(W, v, 1.0, np.zeros(anchors))
+    with pytest.raises(DimensionMismatch, match="state must hold"):
+        inner_solve(Xs, labels, Xt, 1.0, warm_state=state)
+    with pytest.raises(DimensionMismatch, match="state must hold"):
+        fit_class_subspaces(Xs, labels, Xt, state)
+
 
 def test_inner_solve_zero_shift_converges_fast():
     rng = np.random.default_rng(8)
@@ -531,6 +576,15 @@ def test_source_labels_validation():
     assert SourceLabels(labels=[1.0, 0.0], num_classes=2).labels.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("labels, num_classes, error, message", [
+    (np.zeros((2, 2), dtype=int), 1, DimensionMismatch, "1-D"),
+    (np.array([0, 0]), 0, RangeError, "num_classes must be >= 1"),
+])
+def test_source_labels_rejects(labels, num_classes, error, message):
+    with pytest.raises(error, match=message):
+        SourceLabels(labels=labels, num_classes=num_classes)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PasConfig(dim=0)
@@ -541,6 +595,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PasConfig(dim=2.5)
     assert PasConfig(dim=np.int64(3)).dim == 3
+    # a bool is an Integral that compares as 0 or 1, but is no setting
+    for bad in (dict(dim=True), dict(dim=False), dict(schedule_step=True)):
+        with pytest.raises(ConfigError):
+            PasConfig(**bad)
     # the inner solver's stopping rule is fixed, not configurable
     assert [f.name for f in dataclasses.fields(PasConfig)] == ["dim",
                                                                "schedule_step"]

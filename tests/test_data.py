@@ -149,6 +149,13 @@ def test_labels_missing_rejected(tmp_path):
         load_labels(str(p))
 
 
+def test_labels_empty_file_rejected(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_bytes(b"")
+    with pytest.raises(RangeError, match="no labels"):
+        load_labels(str(p))
+
+
 def test_labels_non_integer_rejected(tmp_path):
     p = tmp_path / "l.txt"
     p.write_text("0\nx\n")

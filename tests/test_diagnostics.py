@@ -71,6 +71,14 @@ def test_degenerate_kernel():
                       np.random.default_rng(1).normal(size=(5, 2)), bandwidth=bad)
 
 
+@pytest.mark.parametrize("num_centers, target_rows", [(1, 5), (100, 1)])
+def test_median_bandwidth_needs_two_centers(num_centers, target_rows):
+    rng = np.random.default_rng(6)
+    with pytest.raises(DegenerateKernel, match="needs >= 2 centers"):
+        kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(target_rows, 2)),
+                  num_centers=num_centers)
+
+
 def test_step_search_ends_when_every_doubling_helps(monkeypatch):
     # an objective that rises on every evaluation never ends the step
     # doubling by itself (a NaN one never did either); the search must

@@ -202,8 +202,8 @@ def test_malformed_labels_exit_2(valid, data, key):
 
 # one defect per field, each invalid whatever the rest of the document holds
 MODEL_DEFECTS = {
-    ("feature_dim",): [None, "x", [], 0, -1, 5],
-    ("num_classes",): [None, "x", 0, -1, 4],
+    ("feature_dim",): [None, "x", [], 0, -1, 5, True, 3.7, "3"],
+    ("num_classes",): [None, "x", 0, -1, 4, True, 3.0],
     ("subspaces",): [None, "x", [], {}],
     ("subspaces", 1): [None, "x", [], {}],
     ("subspaces", 0, "mean"): [None, [], [0.0] * 3],
@@ -213,8 +213,8 @@ MODEL_DEFECTS = {
     ("subspaces", 1, "spectrum"): [None, [1.0] * 3],
     ("subspaces", 1, "spectrum", 0): [None, "x", float("nan"), -1.0],
     ("config",): [None, "x", [], 1],
-    ("config", "dim"): [None, "x", 0],
-    ("config", "schedule_step"): [None, "x", 0.0, 2.0],
+    ("config", "dim"): [None, "x", 0, True, False],
+    ("config", "schedule_step"): [None, "x", 0.0, 2.0, True],
     ("config", "unknown"): [1],
 }
 
