@@ -3,8 +3,8 @@
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import PasConfig, SourceLabels, fit_class_subspaces
-from .errors import EmptySelection, RangeError, check_matrix
+from .core import PasConfig, PasModel, SourceLabels, fit_class_subspaces
+from .errors import EmptySelection, check_labels, check_matrix
 
 # target rows per distance block: memory stays at NN1_CHUNK_ROWS x n
 # scores instead of m x n distances
@@ -48,9 +48,7 @@ def nn1_classify(source, X_t):
     n, d = X_s.shape
     if n == 0:
         raise EmptySelection("1NN needs at least one source row")
-    if len(source.labels) != n:
-        raise RangeError("label count %d does not match %d source rows"
-                         % (len(source.labels), n))
+    labels = check_labels(source.labels, n, "source")
     m = X_t.shape[0]
     mu = X_s.sum(axis=0) / n
     S = X_s - mu
@@ -79,14 +77,16 @@ def nn1_classify(source, X_t):
             dist = cdist(X_t[start + j:start + j + 1], X_s[cand])[0]
             best[j] = cand[np.argmin(dist)]
         nearest[start:start + b] = best
-    return source.labels[nearest]
+    return labels[nearest]
 
 
 def pas_c(source, dim=1):
     """Source-only per-class subspace model (no target refinement).
 
-    Identical to the stage-0 initialization of the progressive fit.
+    Identical to the stage-0 initialization of the progressive fit; the
+    model keeps source.label_values (the identity when None).
     """
     config = PasConfig(dim=dim)
     labels = SourceLabels(labels=source.labels, num_classes=source.num_classes)
-    return fit_class_subspaces(source.features, labels, config=config)
+    model = fit_class_subspaces(source.features, labels, config=config)
+    return PasModel(model.subspaces, config, source.label_values)

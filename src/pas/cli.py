@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baselines, core, data, diagnostics
 from .data import Shift, SynthConfig
-from .errors import ConfigError, DimensionMismatch, PasError
+from .errors import DimensionMismatch, PasError, check_count
 
 EXIT_IO = 2
 EXIT_DIM = 3
@@ -131,8 +131,7 @@ def _bench_one(suite, seed):
 
 
 def cmd_bench(args):
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
+    check_count(args.seeds, "--seeds")
     rows = []
     for seed in range(args.seeds):
         for method, accuracy in _bench_one(args.suite, seed).items():

@@ -25,19 +25,13 @@ that changes no class ends the inner loop.
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import data
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyTarget,
-    RangeError,
-    check_matrix,
-)
+from .errors import (ConfigError, DimensionMismatch, EmptyTarget, RangeError,
+                     check_count, check_fraction, check_labels, check_matrix)
 from .subspace import Subspace, fit_pca, residuals_sq
 
 # The expanded residual loses about d * eps of ||x - c||^2 + ||mu_k - c||^2
@@ -74,15 +68,9 @@ class PasConfig:
     inner_max_iters = 50
 
     def __post_init__(self):
-        dim, step = self.dim, self.schedule_step
-        # a bool is an Integral that compares as 0 or 1, but is no setting
-        if type(dim) is bool or not isinstance(dim, numbers.Integral) or dim < 1:
-            raise ConfigError("dim must be an integer >= 1, got %r" % (dim,))
-        if type(step) is bool or not 0.0 < step <= 1.0:
-            raise ConfigError("schedule_step must be in (0, 1], got %r" % (step,))
         # plain Python numbers, so a numpy scalar saves to JSON
-        self.dim = int(self.dim)
-        self.schedule_step = float(self.schedule_step)
+        self.dim = check_count(self.dim, "dim")
+        self.schedule_step = check_fraction(self.schedule_step, "schedule_step", 1.0)
 
 
 @dataclass
@@ -102,8 +90,7 @@ class SourceLabels:
             raise DimensionMismatch("labels must be a 1-D vector")
         if (labels != values).any():
             raise RangeError("labels must be integers")
-        if self.num_classes < 1:
-            raise RangeError("num_classes must be >= 1")
+        self.num_classes = check_count(self.num_classes, "num_classes", RangeError)
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise RangeError("labels outside {0..%d}" % (self.num_classes - 1))
         present = np.unique(labels)
@@ -121,6 +108,14 @@ class AnchorState:
     anchors: np.ndarray       # (m,) in {0, 1}
     threshold: float
     distances: np.ndarray     # (m,) residual to the assigned subspace
+
+
+def _check_state(state, m, K):
+    if state.memberships.shape != (m, K) or state.anchors.shape != (m,):
+        raise DimensionMismatch(
+            "state must hold (%d, %d) memberships and (%d,) anchors, got "
+            "membership shape %r and anchor shape %r"
+            % (m, K, m, state.memberships.shape, state.anchors.shape))
 
 
 @dataclass
@@ -276,16 +271,18 @@ def objective(model, X_s, labels, X_t, state):
     """Unified objective: source residuals + anchored target residuals - lam * #anchored.
 
     A fresh refit memo sums the source term over model's subspaces;
-    residuals_sq rejects an X_s of another width (DimensionMismatch)."""
+    residuals_sq rejects an X_s of another width, and a model of another
+    class count than labels or a state not (m, K) and (m,) raise
+    DimensionMismatch."""
     refits = _ClassRefits(X_s, labels)
+    if model.num_classes != labels.num_classes:
+        raise DimensionMismatch("model has %d classes, labels %d"
+                                % (model.num_classes, labels.num_classes))
     refits.subspaces = list(model.subspaces)
     dists = compute_distances(model, X_t)
-    W = state.memberships
-    if W.shape != dists.shape:
-        raise DimensionMismatch("membership shape %r does not match distances %r"
-                                % (W.shape, dists.shape))
-    return _objective_value(refits.source_total(), dists, W, state.anchors,
-                            state.threshold)
+    _check_state(state, *dists.shape)
+    return _objective_value(refits.source_total(), dists, state.memberships,
+                            state.anchors, state.threshold)
 
 
 class _ClassRefits:
@@ -305,9 +302,7 @@ class _ClassRefits:
 
     def __init__(self, X_s, labels, X_t=None):
         X_s = check_matrix(X_s, "source features")
-        if labels.labels.shape[0] != X_s.shape[0]:
-            raise RangeError("label count %d does not match %d source rows"
-                             % (labels.labels.shape[0], X_s.shape[0]))
+        check_labels(labels.labels, X_s.shape[0], "source")
         if X_t is not None:
             X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
             self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
@@ -325,15 +320,13 @@ class _ClassRefits:
         with its membership and anchor indicator 1, in row order; a class
         whose anchored rows equal those of its stored subspace keeps it.
         Sets refitted to the indices of the classes refitted.  A state
-        whose shapes are not (m, K) and (m,) raises DimensionMismatch."""
+        whose shapes are not (m, K) and (m,), m = 0 without X_t, raises
+        DimensionMismatch."""
         X_t = self.X_t
         K = len(self.blocks)
         picked = [np.zeros(0, dtype=np.intp)] * K
-        if state is not None and X_t is not None:
-            m = X_t.shape[0]
-            if state.memberships.shape != (m, K) or state.anchors.shape != (m,):
-                raise DimensionMismatch("state must hold (%d, %d) memberships and "
-                                        "(%d,) anchors" % (m, K, m))
+        if state is not None:
+            _check_state(state, 0 if X_t is None else X_t.shape[0], K)
             anchored = state.anchors == 1
             picked = [np.flatnonzero((state.memberships[:, k] == 1) & anchored)
                       for k in range(K)]
@@ -435,9 +428,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     if X_t.shape[0] == 0:
         raise EmptyTarget("target set is empty")
     if eval_labels is not None:
-        eval_labels = np.asarray(eval_labels, dtype=np.int64)
-        if eval_labels.shape[0] != X_t.shape[0]:
-            raise RangeError("eval label count does not match target rows")
+        eval_labels = check_labels(eval_labels, X_t.shape[0], "eval", np.int64)
 
     step = config.schedule_step
     num_stages = int(math.ceil(1.0 / step - 1e-9))
@@ -542,10 +533,8 @@ def model_from_dict(doc):
     num_classes distinct integers.  The config keys in LEGACY_CONFIG_KEYS
     are ignored, and a document without label_values gets the identity."""
     try:
-        d, num_classes = doc["feature_dim"], doc["num_classes"]
-        if not all(type(n) is int and n >= 1 for n in (d, num_classes)):
-            raise ConfigError("feature_dim and num_classes must be JSON integers "
-                              ">= 1, got %r and %r" % (d, num_classes))
+        d = check_count(doc["feature_dim"], "feature_dim")
+        num_classes = check_count(doc["num_classes"], "num_classes")
         config = PasConfig(**{key: value for key, value in doc["config"].items()
                               if key not in LEGACY_CONFIG_KEYS})
         subspaces = [_subspace_from_dict(entry, d) for entry in doc["subspaces"]]

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, RangeError, check_matrix
+from .errors import (ConfigError, ParseError, RangeError, check_count,
+                     check_labels, check_matrix)
 
 # class blobs get one elongated principal direction so rank-1 subspaces
 # capture real structure rather than noise
@@ -67,8 +68,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.dim < 1 or self.per_class < 1:
-            raise ConfigError("num_classes, dim and per_class must be >= 1")
+        for name in ("num_classes", "dim", "per_class"):
+            setattr(self, name, check_count(getattr(self, name), name))
         magnitudes = (self.shift.rotation, self.shift.translation, self.shift.noise)
         # NaN fails both x < 0 and x > 0, so it would silently mean "no shift"
         if not all(math.isfinite(x) and x >= 0 for x in magnitudes):
@@ -169,10 +170,7 @@ def load_labeled(feature_path, label_path):
     values, so class index k stands for label_values[k].
     """
     X = load_features(feature_path)
-    raw = load_labels(label_path)
-    if raw.shape[0] != X.shape[0]:
-        raise RangeError("%s: %d labels for %d feature rows"
-                         % (label_path, raw.shape[0], X.shape[0]))
+    raw = check_labels(load_labels(label_path), X.shape[0], label_path)
     classes = np.unique(raw)
     labels = np.searchsorted(classes, raw)
     return LabeledDataset(features=X, labels=labels, num_classes=classes.size,

@@ -17,14 +17,8 @@ from scipy.spatial.distance import cdist, pdist
 # predict is not called here, but benchmarks/tracer.py patches
 # diagnostics.predict by name and fails on a missing attribute
 from .core import compute_distances, predict
-from .errors import (
-    ConfigError,
-    DegenerateKernel,
-    EmptySelection,
-    RangeError,
-    TooFewSamples,
-    check_matrix,
-)
+from .errors import (DegenerateKernel, EmptySelection, TooFewSamples, check_count,
+                     check_fraction, check_labels, check_matrix)
 
 LOG_FLOOR = 1e-300
 # most halvings or doublings of the step in one line search
@@ -106,13 +100,11 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
     X_tgt = check_matrix(X_tgt, "target samples", width=X_src.shape[1])
     if X_src.shape[0] == 0 or X_tgt.shape[0] == 0:
         raise EmptySelection("need nonempty source and target sets")
-
-    if int(num_centers) < 1:
-        raise ConfigError("num_centers must be >= 1")
+    num_centers = check_count(num_centers, "num_centers")
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(X_tgt.shape[0])
-    centers = X_tgt[perm[:min(int(num_centers), X_tgt.shape[0])]]
+    centers = X_tgt[perm[:min(num_centers, X_tgt.shape[0])]]
 
     if bandwidth is None:
         if centers.shape[0] < 2:
@@ -201,14 +193,10 @@ def anchoring_report(model, X_t, true_labels, ratio_model, fraction=0.05):
     values, compared with the model's label_values of the predicted
     classes, one per row of X_t (RangeError otherwise).
     """
-    if not (0.0 < fraction <= 0.5):
-        raise ConfigError("fraction must be in (0, 0.5], got %r" % (fraction,))
+    fraction = check_fraction(fraction, "fraction", 0.5)
     dists = compute_distances(model, X_t)
     m = dists.shape[0]
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    if true_labels.shape != (m,):
-        raise RangeError("true labels of shape %r for %d target rows"
-                         % (true_labels.shape, m))
+    true_labels = check_labels(true_labels, m, "true", np.int64)
     group = int(np.floor(fraction * m))
     if group < 1:
         raise TooFewSamples("fraction %r of %d samples selects no rows"
@@ -226,4 +214,4 @@ def anchoring_report(model, X_t, true_labels, ratio_model, fraction=0.05):
         }
 
     return {"top": summarize(top), "bottom": summarize(bottom),
-            "fraction": float(fraction), "group_size": group}
+            "fraction": fraction, "group_size": group}

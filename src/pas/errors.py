@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the one check every
-public entry point applies to an input matrix."""
+"""Exception types shared across the package, and the one check of each
+input rule: matrices, counts, fractions and label vectors."""
+
+import numbers
 
 import numpy as np
 
@@ -65,3 +67,26 @@ def check_matrix(X, name, width=None):
     if not np.isfinite(X).all():
         raise NonFinite("%s contains NaN/Inf" % name)
     return X
+
+
+def check_count(n, name, error=ConfigError):
+    """n as a plain int >= 1; a bool, float, string or NaN raises error."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise error("%s must be >= 1 and an integer, got %r" % (name, n))
+    return int(n)
+
+
+def check_fraction(x, name, high):
+    """x as a plain float in (0, high]; a bool or non-real raises ConfigError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x <= high:
+        raise ConfigError("%s must be in (0, %g], got %r" % (name, high, x))
+    return float(x)
+
+
+def check_labels(labels, rows, name, dtype=None):
+    """labels as an array of dtype, of shape exactly (rows,), else RangeError."""
+    labels = np.asarray(labels, dtype=dtype)
+    if labels.shape != (rows,):
+        raise RangeError("%s label count does not match %d rows, got shape %r"
+                         % (name, rows, labels.shape))
+    return labels

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import EmptyFit, check_matrix
+from .errors import EmptyFit, check_count, check_matrix
 
 # Eigenvalues below RANK_TOL * trace(covariance) are treated as zero rank.
 RANK_TOL = 1e-12
@@ -78,8 +78,7 @@ def fit_pca(X, dim):
     n, d = X.shape
     if n == 0:
         raise EmptyFit("cannot fit a subspace on zero rows")
-    if dim < 1:
-        raise ValueError("requested dimension must be >= 1, got %r" % (dim,))
+    dim = check_count(dim, "requested dimension", ValueError)
 
     # uniform weights, not X.mean(axis=0): this summation order fixes the
     # bits of every fitted model
@@ -94,11 +93,11 @@ def fit_pca(X, dim):
         # n x n Gram route for wide data
         A = np.sqrt(w)[:, None] * Y
         M = A @ A.T
-    evals, evecs = _top_eigenpairs(M, min(int(dim), M.shape[0]))
+    evals, evecs = _top_eigenpairs(M, min(dim, M.shape[0]))
 
     trace = float(np.trace(M))   # a sum of squares, so >= 0
     rank = int((evals > RANK_TOL * trace).sum())
-    d_eff = min(int(dim), d, max(n - 1, 0), rank)
+    d_eff = min(dim, d, max(n - 1, 0), rank)
 
     spectrum = np.maximum(evals[:d_eff], 0.0)
     if d <= n:

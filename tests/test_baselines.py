@@ -95,6 +95,11 @@ def test_nn1_label_count_must_match_source_rows():
                              num_classes=count)
         with pytest.raises(RangeError):
             nn1_classify(src, np.zeros((2, 2)))
+    # a (n, 1) column once passed and gave (m, 1) labels
+    src = LabeledDataset(features=X_s, labels=np.zeros((5, 1), dtype=int),
+                         num_classes=1)
+    with pytest.raises(RangeError, match="label count"):
+        nn1_classify(src, np.zeros((2, 2)))
 
 
 def test_nn1_near_ties_take_the_cdist_recheck(monkeypatch):
@@ -128,6 +133,16 @@ def test_pas_c_equals_source_only_fit():
         assert (S.mean == T.mean).all()
         assert (S.basis == T.basis).all()
         assert (S.spectrum == T.spectrum).all()
+
+
+def test_pas_c_keeps_source_label_values():
+    # a saved pas_c model once made pas predict write class indices
+    src = labeled([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]], [0, 0, 1, 1])
+    assert pas_c(src).label_values.tolist() == [0, 1]
+    src.label_values = np.array([5, 7])
+    model = pas_c(src)
+    assert model.label_values.tolist() == [5, 7]
+    assert model.label_values[pas.predict(model, [[5.0, 5.0]])].tolist() == [7]
 
 
 def test_pas_c_matches_progressive_stage_zero():

@@ -292,14 +292,31 @@ def test_objective_checks_label_count():
             fit_progressive(Xs, bad, np.zeros((4, Xs.shape[1] + 1)))
 
 
-@pytest.mark.parametrize("shape", [(5, 2), (16, 3), (16,)])
+@pytest.mark.parametrize("shape", [(5, 2), (16, 3), (16,), (16, 2)])
 def test_objective_checks_membership_shape(shape):
     Xs, labels, Xt, _ = make_instance(23)
     model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
     c = compute_distances(model, Xt).min(axis=1)
+    if shape == (16, 2):
+        # memberships that fit, anchors of shape (1,): once gave a number
+        c = c[:1]
     W = np.zeros(shape, dtype=np.int64)
     with pytest.raises(DimensionMismatch, match="membership shape"):
         objective(model, Xs, labels, Xt, AnchorState(W, anchor(c, 0.0), 0.0, c))
+
+
+def test_objective_checks_class_count():
+    # a 2-class model with 3-class labels once raised a bare IndexError, and
+    # a 3-class model with 2-class labels left out class 2's source residuals
+    Xs, labels2, Xt, _ = make_instance(23)
+    labels3 = SourceLabels(labels=np.arange(16) % 3, num_classes=3)
+    for model_labels, labels in ((labels2, labels3), (labels3, labels2)):
+        model = fit_class_subspaces(Xs, model_labels, config=PasConfig(dim=1))
+        dists = compute_distances(model, Xt)
+        c = dists.min(axis=1)
+        state = AnchorState(assign_memberships(dists), anchor(c, 1.0), 1.0, c)
+        with pytest.raises(DimensionMismatch, match="classes"):
+            objective(model, Xs, labels, Xt, state)
 
 
 def test_objective_checks_source_width():
@@ -319,10 +336,13 @@ def test_objective_checks_source_width():
     ((9, 2), (9,)),   # too many rows once raised a bare IndexError
     ((8, 1), (8,)),   # fewer than K columns likewise
     ((8, 2), (5,)),   # short anchors once failed to broadcast
+    ((8, 2), (8,)),   # fits X_t, but given without it was once ignored
 ])
 def test_warm_state_of_wrong_shape_rejected(memberships, anchors):
     Xs, labels, Xt, _ = make_instance(30, n_per=4, K=2)
     assert Xt.shape[0] == 8
+    if (memberships, anchors) == ((8, 2), (8,)):
+        Xt = None
     W = np.zeros(memberships, dtype=np.int64)
     W[:, 0] = 1
     v = np.ones(anchors, dtype=np.int64)
@@ -512,6 +532,9 @@ def test_fit_progressive_errors():
         fit_progressive(Xs, labels, np.zeros((4, Xs.shape[1] + 1)))
     with pytest.raises(RangeError):
         fit_progressive(Xs, labels, Xt, eval_labels=np.zeros(3, dtype=int))
+    # one label per row: a (m, 1) column once gave the wrong pseudo accuracy
+    with pytest.raises(RangeError, match="label count"):
+        fit_progressive(Xs, labels, Xt, eval_labels=np.zeros((16, 1), dtype=int))
 
 
 # --- predict ----------------------------------------------------------------
@@ -579,6 +602,9 @@ def test_source_labels_validation():
 @pytest.mark.parametrize("labels, num_classes, error, message", [
     (np.zeros((2, 2), dtype=int), 1, DimensionMismatch, "1-D"),
     (np.array([0, 0]), 0, RangeError, "num_classes must be >= 1"),
+    (np.array([0, 1]), 2.0, RangeError, "num_classes"),
+    (np.array([0, 0]), True, RangeError, "num_classes"),
+    (np.array([0, 1]), "2", RangeError, "num_classes"),
 ])
 def test_source_labels_rejects(labels, num_classes, error, message):
     with pytest.raises(error, match=message):
@@ -599,6 +625,13 @@ def test_config_validation():
     for bad in (dict(dim=True), dict(dim=False), dict(schedule_step=True)):
         with pytest.raises(ConfigError):
             PasConfig(**bad)
+    # a string once raised a bare TypeError, and a numpy bool passed as 1.0
+    for bad in (dict(schedule_step="0.5"), dict(schedule_step=np.True_)):
+        with pytest.raises(ConfigError):
+            PasConfig(**bad)
+    config = PasConfig(dim=np.int64(3), schedule_step=np.float32(0.5))
+    assert type(config.dim) is int and config.dim == 3
+    assert type(config.schedule_step) is float and config.schedule_step == 0.5
     # the inner solver's stopping rule is fixed, not configurable
     assert [f.name for f in dataclasses.fields(PasConfig)] == ["dim",
                                                                "schedule_step"]

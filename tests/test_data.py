@@ -180,6 +180,9 @@ def test_label_count_mismatch(tmp_path):
     l.write_text("0\n")
     with pytest.raises(RangeError):
         load_labeled(str(f), str(l))
+    l.write_text("0\n1\n0\n")
+    with pytest.raises(RangeError, match="label count"):
+        load_labeled(str(f), str(l))
 
 
 def test_save_labels_round_trip(tmp_path):
@@ -248,6 +251,10 @@ def test_config_validation():
         base_cfg(num_classes=0)
     with pytest.raises(ConfigError):
         base_cfg(per_class=0)
+    # a count is an integer: these once passed or raised a bare TypeError
+    for bad in (dict(per_class=2.5), dict(dim=True), dict(num_classes="2")):
+        with pytest.raises(ConfigError):
+            base_cfg(**bad)
     with pytest.raises(ConfigError):
         base_cfg(shift=Shift(rotation=-0.1, translation=0, noise=0))
     for bad in (float("nan"), float("inf")):

@@ -100,6 +100,11 @@ def test_kliep_input_validation():
         kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
     with pytest.raises(ConfigError):
         kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), num_centers=0)
+    # "5" once used 5 centers and 2.7 used 2
+    for bad in ("5", 2.7, True):
+        with pytest.raises(ConfigError):
+            kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+                      num_centers=bad)
 
 
 def test_adr_constant_ratio_is_one():
@@ -235,11 +240,18 @@ def test_report_label_count_must_match_rows():
     for truth in (tgt.true_labels[:-1], np.append(tgt.true_labels, 0)):
         with pytest.raises(RangeError):
             anchoring_report(model, tgt.features, truth, ratio)
+    with pytest.raises(RangeError, match="label count"):
+        anchoring_report(model, tgt.features, tgt.true_labels[:, None], ratio)
 
 
 def test_report_fraction_validation():
     model, src, tgt, ratio = fitted_pair(seed=4)
     for bad in (0.0, 0.6, -0.1):
+        with pytest.raises(ConfigError):
+            anchoring_report(model, tgt.features, tgt.true_labels, ratio,
+                             fraction=bad)
+    # these once raised a bare TypeError
+    for bad in ("0.1", None):
         with pytest.raises(ConfigError):
             anchoring_report(model, tgt.features, tgt.true_labels, ratio,
                              fraction=bad)

@@ -194,6 +194,10 @@ def test_errors():
         fit_pca(np.array([[1.0, np.nan]]), dim=1)
     with pytest.raises(ValueError):
         fit_pca(np.ones((3, 2)), dim=0)
+    # a dimension is an integer: these once fitted or raised a bare error
+    for bad in (1.5, True, "2", float("nan")):
+        with pytest.raises(ValueError, match="requested dimension"):
+            fit_pca(np.ones((3, 2)), dim=bad)
     S = fit_pca(np.random.default_rng(0).normal(size=(5, 3)), dim=1)
     with pytest.raises(NonFinite):
         residuals_sq(S, np.array([[0.0, np.nan, 1.0]]))
