@@ -20,8 +20,9 @@ whose anchored target rows are unchanged keeps its subspace, its source
 residual total and its distance column bit for bit instead of being
 refitted; only the columns of refitted classes are recomputed, which can
 move their last bits against a recomputation of every column.  A refit
-that changes no class ends the inner loop.
-"""
+that changes no class ends the inner loop, and the next stage starts
+from that fixed point unrefitted.  Memberships are class indices until
+the loop returns its state."""
 
 import json
 import math
@@ -42,12 +43,9 @@ from .subspace import Subspace, fit_pca, residuals_sq
 EXACT_FALLBACK_REL = 1e-5
 
 # Largest |B'B - I| entry a loaded basis may show.  fit_pca's bases are
-# orthonormal to rounding.  Earlier versions' Gram route (fewer rows than
-# features) normalized A'u by the square root of its eigenvalue, which is
-# off in proportion to eps / RANK_TOL (2.2e-4) for an eigenvalue at the
-# rank cutoff (13,500 nearly rank-deficient probe fits reached 3.1e-4), and
-# the models they wrote must still load.  A genuinely wrong basis is off by
-# order 1.
+# orthonormal to rounding, but earlier versions' Gram route wrote bases off
+# by about eps / RANK_TOL (2.2e-4) near the rank cutoff (probe fits reached
+# 3.1e-4), which must still load.  A genuinely wrong basis is off by order 1.
 BASIS_ORTHONORMAL_TOL = 1e-3
 
 
@@ -82,14 +80,9 @@ class SourceLabels:
 
     def __post_init__(self):
         values = np.asarray(self.labels)
-        # a NaN or out-of-range float casts to garbage, which the
-        # comparison below rejects
-        with np.errstate(invalid="ignore"):
-            labels = values.astype(np.int64)
-        if labels.ndim != 1:
+        if values.ndim != 1:
             raise DimensionMismatch("labels must be a 1-D vector")
-        if (labels != values).any():
-            raise RangeError("labels must be integers")
+        labels = check_labels(values, values.shape[0], "source", np.int64)
         self.num_classes = check_count(self.num_classes, "num_classes", RangeError)
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise RangeError("labels outside {0..%d}" % (self.num_classes - 1))
@@ -116,6 +109,16 @@ def _check_state(state, m, K):
             "state must hold (%d, %d) memberships and (%d,) anchors, got "
             "membership shape %r and anchor shape %r"
             % (m, K, m, state.memberships.shape, state.anchors.shape))
+
+
+class _Assignment:
+    """The state inner_solve refits on: each row's class index and anchor
+    indicator, with the (m, K) one-hot memberships built only when read."""
+
+    def __init__(self, assigned, K, anchors):
+        self.assigned, self.K, self.anchors = assigned, K, anchors
+
+    memberships = property(lambda self: np.eye(self.K, dtype=np.int64)[self.assigned])
 
 
 @dataclass
@@ -174,7 +177,7 @@ def compute_distances(model, X_t, _memo=None):
     The solver passes its refit memo as _memo, which holds the checked
     X_t centred once per fit, the distance matrix of its previous
     subspaces and the classes its last refit changed; only those columns
-    are recomputed, by the same GEMM over their means and bases.
+    are recomputed, by the same GEMM, and checked finite (else NonFinite).
     """
     if _memo is None:
         X_t = check_matrix(X_t, "target features", width=model.feature_dim)
@@ -204,8 +207,7 @@ def compute_distances(model, X_t, _memo=None):
     G = X_c @ stacked
     mu_sq = np.einsum("ij,ij->j", means, means)
     proj = G[:, n:] - np.einsum("ij,ij->j", means[:, owner], bases)
-    in_class = np.zeros((owner.size, n))
-    in_class[np.arange(owner.size), owner] = 1.0
+    in_class = np.eye(n)[owner]
     scale = x_sq[:, None] + mu_sq
     block = np.maximum(scale - 2.0 * G[:, :n] - (proj * proj) @ in_class, 0.0)
 
@@ -213,6 +215,8 @@ def compute_distances(model, X_t, _memo=None):
     for j in np.flatnonzero(low.any(axis=0)):
         rows = np.flatnonzero(low[:, j])
         block[rows, j] = residuals_sq(subspaces[j], X_t[rows])
+    if _memo is not None:
+        check_matrix(block, "distance matrix")
     if previous is None:
         return block
     dists = previous.copy()
@@ -227,16 +231,12 @@ def assign_memberships(dists):
     deterministic.
     """
     dists = check_matrix(dists, "distance matrix")
-    m, K = dists.shape
-    W = np.zeros((m, K), dtype=np.int64)
-    W[np.arange(m), np.argmin(dists, axis=1)] = 1
-    return W
+    return np.eye(dists.shape[1], dtype=np.int64)[np.argmin(dists, axis=1)]
 
 
 def anchor(c, lam):
     """Indicator of samples anchored at threshold lam: 1 iff c_j < lam (strict)."""
-    c = np.asarray(c, dtype=float)
-    return (c < lam).astype(np.int64)
+    return (np.asarray(c, dtype=float) < lam).astype(np.int64)
 
 
 def lambda_for_fraction(c, fraction):
@@ -257,13 +257,11 @@ def lambda_for_fraction(c, fraction):
     s = np.sort(c)
     u = s[t - 1]
     bigger = s[s > u]
-    if bigger.size:
-        return float(bigger[0])
-    return float(u * (1.0 + 1e-9) + 1e-12)
+    return float(bigger[0]) if bigger.size else float(u * (1.0 + 1e-9) + 1e-12)
 
 
-def _objective_value(source_total, dists, W, v, lam):
-    target_term = float((v * (W * dists).sum(axis=1)).sum())
+def _objective_value(source_total, c, v, lam):
+    target_term = float((v * c).sum())
     return source_total + target_term - lam * float(v.sum())
 
 
@@ -281,7 +279,8 @@ def objective(model, X_s, labels, X_t, state):
     refits.subspaces = list(model.subspaces)
     dists = compute_distances(model, X_t)
     _check_state(state, *dists.shape)
-    return _objective_value(refits.source_total(), dists, state.memberships,
+    return _objective_value(refits.source_total(),
+                            (state.memberships * dists).sum(axis=1),
                             state.anchors, state.threshold)
 
 
@@ -297,7 +296,8 @@ class _ClassRefits:
     and its source residual total (computed when first asked for).
     refitted lists the classes the last refit fitted anew, and dists is
     the distance matrix of the current subspaces once the solver has set
-    it.
+    it.  fixed_point is the state inner_solve last returned, if a refit
+    on it changed no class.
     """
 
     def __init__(self, X_s, labels, X_t=None):
@@ -314,6 +314,7 @@ class _ClassRefits:
         self.residuals = [None] * K
         self.refitted = []
         self.dists = None
+        self.fixed_point = None
 
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
@@ -321,21 +322,26 @@ class _ClassRefits:
         whose anchored rows equal those of its stored subspace keeps it.
         Sets refitted to the indices of the classes refitted.  A state
         whose shapes are not (m, K) and (m,), m = 0 without X_t, raises
-        DimensionMismatch."""
-        X_t = self.X_t
+        DimensionMismatch; the solver's own states are not checked."""
         K = len(self.blocks)
-        picked = [np.zeros(0, dtype=np.intp)] * K
-        if state is not None:
-            _check_state(state, 0 if X_t is None else X_t.shape[0], K)
-            anchored = state.anchors == 1
-            picked = [np.flatnonzero((state.memberships[:, k] == 1) & anchored)
-                      for k in range(K)]
+        targets = classes = np.zeros(0, dtype=np.intp)
+        if isinstance(state, _Assignment):
+            targets = state.anchors.nonzero()[0]
+            classes = state.assigned[targets]
+        elif state is not None:
+            _check_state(state, 0 if self.X_t is None else self.X_t.shape[0], K)
+            targets, classes = np.nonzero((state.memberships == 1)
+                                          & (state.anchors == 1)[:, None])
+        # a stable sort by class keeps each class's rows in row order
+        picked = targets[np.argsort(classes, kind="stable")]
+        ends = [0] + np.cumsum(np.bincount(classes, minlength=K)).tolist()
         self.refitted = []
-        for k, (block, rows_t) in enumerate(zip(self.blocks, picked)):
-            if (self.subspaces[k] is not None
-                    and np.array_equal(rows_t, self.anchored[k])):
+        for k, block in enumerate(self.blocks):
+            rows_t = picked[ends[k]:ends[k + 1]]
+            old = self.anchored[k]
+            if old is not None and old.size == rows_t.size and (old == rows_t).all():
                 continue
-            rows = np.vstack([block, X_t[rows_t]]) if rows_t.size else block
+            rows = np.vstack([block, self.X_t[rows_t]]) if rows_t.size else block
             self.subspaces[k] = fit_pca(rows, dim=dim)
             self.anchored[k] = rows_t
             self.residuals[k] = None
@@ -379,36 +385,40 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     When a refit after the first iteration changes no class, the rest of
     the iteration would rebuild the same distances, state and objective
     bit for bit, so the loop records that objective once more and stops.
-    fit_progressive passes one refit memo (_refits), which holds the
-    checked X_t, to every stage.
+    fit_progressive passes every stage one refit memo (_refits); a stage
+    warm-started on the fixed point of the last skips its first refit.
     """
     config = config or PasConfig()
     if _refits is None:
         _refits = _ClassRefits(X_s, labels, X_t)
     X_t = _refits.X_t
 
-    state = warm_state
-    history = []
-    model = None
+    # fitted: the memo's subspaces were fitted on state's anchored rows
+    state, history = warm_state, []
+    fitted = state is not None and state is _refits.fixed_point
     for _ in range(config.inner_max_iters):
-        model = fit_class_subspaces(X_s, labels, X_t, state, config,
-                                    _refits=_refits)
-        if _refits.refitted:
-            _refits.dists = compute_distances(model, X_t, _memo=_refits)
-        elif history:
-            history.append(history[-1])
-            break
+        if not fitted:
+            model = fit_class_subspaces(X_s, labels, X_t, state, config,
+                                        _refits=_refits)
+            if _refits.refitted:
+                _refits.dists = compute_distances(model, X_t, _memo=_refits)
+            elif history:
+                history.append(history[-1])
+                fitted = True
+                break
         dists = _refits.dists
-        W = assign_memberships(dists)
-        c = dists.min(axis=1)
+        assigned = dists.argmin(axis=1)
+        c = dists[np.arange(dists.shape[0]), assigned]   # the row minima
         v = anchor(c, lam)
-        state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
-        history.append(_objective_value(_refits.source_total(), dists, W, v, lam))
+        state, fitted = _Assignment(assigned, dists.shape[1], v), False
+        history.append(_objective_value(_refits.source_total(), c, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
-    return model, state, history
+    result = AnchorState(state.memberships, state.anchors, lam, c)
+    _refits.fixed_point = result if fitted else None
+    return PasModel(subspaces=list(_refits.subspaces), config=config), result, history
 
 
 def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
@@ -432,8 +442,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
 
     step = config.schedule_step
     num_stages = int(math.ceil(1.0 / step - 1e-9))
-    trace = []
-    state, lam = None, 0.0
+    trace, state, lam = [], None, 0.0
     for s in range(num_stages + 1):
         fraction = 1.0 if s == num_stages else min(1.0, s * step)
         if s > 0:
@@ -450,8 +459,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
 
 def predict(model, X):
     """Label each row with its minimum-residual subspace index."""
-    dists = compute_distances(model, X)
-    return np.argmin(dists, axis=1)
+    return np.argmin(compute_distances(model, X), axis=1)
 
 
 # --- model persistence ----------------------------------------------------
@@ -469,26 +477,18 @@ LEGACY_CONFIG_KEYS = ("seed", "inner_tol", "inner_max_iters")
 
 
 def model_to_dict(model):
-    subspaces = []
-    for S in model.subspaces:
-        subspaces.append({
-            "mean": [float(x) for x in S.mean],
-            "basis": [float(x) for x in S.basis.ravel(order="F")],
-            "spectrum": [float(x) for x in S.spectrum],
-        })
-    return {
-        "feature_dim": model.feature_dim,
-        "num_classes": model.num_classes,
-        "label_values": [int(v) for v in model.label_values],
-        "subspaces": subspaces,
-        "config": asdict(model.config),
-    }
+    subspaces = [{"mean": [float(x) for x in S.mean],
+                  "basis": [float(x) for x in S.basis.ravel(order="F")],
+                  "spectrum": [float(x) for x in S.spectrum]}
+                 for S in model.subspaces]
+    return {"feature_dim": model.feature_dim, "num_classes": model.num_classes,
+            "label_values": [int(v) for v in model.label_values],
+            "subspaces": subspaces, "config": asdict(model.config)}
 
 
 def _subspace_from_dict(entry, d):
-    mean = np.asarray(entry["mean"], dtype=float)
-    spectrum = np.asarray(entry["spectrum"], dtype=float)
-    basis = np.asarray(entry["basis"], dtype=float)
+    mean, spectrum, basis = (np.asarray(entry[key], dtype=float)
+                             for key in ("mean", "spectrum", "basis"))
     if mean.shape != (d,):
         raise ConfigError("mean has shape %r, expected (%d,)" % (mean.shape, d))
     if spectrum.ndim != 1:

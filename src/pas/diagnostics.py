@@ -87,7 +87,8 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         Gaussian kernel width; defaults to the median pairwise distance
         among the centers.
     seed : int
-        Seed for the center shuffle.
+        Seed for the center shuffle, an integer >= 0 (ConfigError
+        otherwise).
 
     The ascent takes at most MAX_ASCENT_STEPS steps and stops early once a
     step gains less than ASCENT_TOL of the objective (relative, floored at
@@ -102,7 +103,7 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         raise EmptySelection("need nonempty source and target sets")
     num_centers = check_count(num_centers, "num_centers")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", low=0))
     perm = rng.permutation(X_tgt.shape[0])
     centers = X_tgt[perm[:min(num_centers, X_tgt.shape[0])]]
 

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check of each
-input rule: matrices, counts, fractions and label vectors."""
+input rule: matrices, counts (and seeds), fractions and label vectors."""
 
 import numbers
 
@@ -69,10 +69,10 @@ def check_matrix(X, name, width=None):
     return X
 
 
-def check_count(n, name, error=ConfigError):
-    """n as a plain int >= 1; a bool, float, string or NaN raises error."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise error("%s must be >= 1 and an integer, got %r" % (name, n))
+def check_count(n, name, error=ConfigError, low=1):
+    """n as a plain int >= low; a bool, float, string or NaN raises error."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < low:
+        raise error("%s must be >= %d and an integer, got %r" % (name, low, n))
     return int(n)
 
 
@@ -84,9 +84,19 @@ def check_fraction(x, name, high):
 
 
 def check_labels(labels, rows, name, dtype=None):
-    """labels as an array of dtype, of shape exactly (rows,), else RangeError."""
-    labels = np.asarray(labels, dtype=dtype)
-    if labels.shape != (rows,):
+    """labels as an array of dtype, of shape exactly (rows,), else
+    RangeError; with an integer dtype a value that the cast would change
+    (a fraction, NaN or one out of range) is a RangeError too."""
+    values = np.asarray(labels)
+    if values.shape != (rows,):
         raise RangeError("%s label count does not match %d rows, got shape %r"
-                         % (name, rows, labels.shape))
+                         % (name, rows, values.shape))
+    if dtype is None or not np.issubdtype(dtype, np.integer):
+        return np.asarray(values, dtype=dtype)
+    # a NaN or out-of-range float casts to garbage, which the comparison
+    # rejects
+    with np.errstate(invalid="ignore"):
+        labels = values.astype(dtype)
+    if (labels != values).any():
+        raise RangeError("%s labels must be integers" % name)
     return labels

@@ -273,6 +273,29 @@ def test_bench_writes_sorted_rows(tmp_path, capsys):
     assert "pas mean accuracy" in printed
 
 
+# correct target rows per seed 0..7 of pas bench (900 closed-suite rows,
+# 120 pda-suite rows), recorded before the solver carried class indices
+BENCH_CORRECT = {
+    "closed": {"1nn": [878, 862, 880, 889, 870, 789, 878, 863],
+               "pas": [883, 878, 884, 890, 863, 830, 882, 864],
+               "pas_c": [882, 866, 881, 887, 864, 795, 879, 856]},
+    "pda": {"1nn": [120, 120, 114, 103, 118, 117, 114, 120],
+            "pas": [120] * 8,
+            "pas_c": [117, 120, 114, 100, 116, 119, 114, 117]},
+}
+
+
+@pytest.mark.parametrize("suite, rows", [("closed", 900), ("pda", 120)])
+def test_bench_accuracies_are_pinned(tmp_path, suite, rows):
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--suite", suite, "--seeds", "8",
+                 "--out-csv", out]) == 0
+    got = [l.split(",") for l in open(out).read().strip().split("\n")[1:]]
+    assert got == [[method, str(seed), repr(correct / rows)]
+                   for method, counts in sorted(BENCH_CORRECT[suite].items())
+                   for seed, correct in enumerate(counts)]
+
+
 def test_bench_bad_seeds_exit_2(tmp_path):
     assert main(["bench", "--suite", "pda", "--seeds", "0",
                  "--out-csv", str(tmp_path / "b.csv")]) == 2
@@ -333,6 +356,19 @@ def test_diagnose_nonfinite_bandwidth_exit_2(tmp_path):
                      "--target", prefix + "_target.csv",
                      "--true-labels", prefix + "_target_labels.csv",
                      "--bandwidth", bandwidth, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_diagnose_negative_kliep_seed_exit_2(tmp_path, capsys):
+    prefix = make_data(tmp_path)
+    model, _ = run_fit(tmp_path, prefix, step="1.0")
+    out = str(tmp_path / "report.json")
+    assert main(["diagnose", "--model", model,
+                 "--source", prefix + "_source.csv",
+                 "--target", prefix + "_target.csv",
+                 "--true-labels", prefix + "_target_labels.csv",
+                 "--kliep-seed", "-1", "--out", out]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -525,7 +525,7 @@ def test_fit_checks_source_features_once(monkeypatch):
 
 
 def test_fit_progressive_errors():
-    Xs, labels, Xt, _ = make_instance(19)
+    Xs, labels, Xt, ys = make_instance(19)
     with pytest.raises(EmptyTarget):
         fit_progressive(Xs, labels, np.zeros((0, Xs.shape[1])))
     with pytest.raises(DimensionMismatch):
@@ -535,6 +535,28 @@ def test_fit_progressive_errors():
     # one label per row: a (m, 1) column once gave the wrong pseudo accuracy
     with pytest.raises(RangeError, match="label count"):
         fit_progressive(Xs, labels, Xt, eval_labels=np.zeros((16, 1), dtype=int))
+    # ys + 0.5 was once scored as its integer part
+    for fractional in (ys + 0.5, np.where(ys == 0, np.nan, ys)):
+        with pytest.raises(RangeError, match="must be integers"):
+            fit_progressive(Xs, labels, Xt, eval_labels=fractional)
+
+
+def test_overflowing_fit_raises_nonfinite(monkeypatch):
+    # squared norms of rows near 1e155 overflow to inf; the first distance
+    # matrix of stage 0 is rejected, as it was when assign_memberships
+    # checked every matrix
+    Xs, labels, Xt, _ = make_instance(31)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return compute_distances(*args, **kwargs)
+
+    monkeypatch.setattr(core, "compute_distances", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match="distance matrix contains NaN/Inf"):
+            fit_progressive(1e155 * Xs, labels, 1e155 * Xt)
+    assert len(calls) == 1
 
 
 # --- predict ----------------------------------------------------------------

@@ -105,6 +105,11 @@ def test_kliep_input_validation():
         with pytest.raises(ConfigError):
             kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
                       num_centers=bad)
+    # -1 once raised numpy's bare ValueError; True and 1.5 are not seeds
+    for bad in (-1, True, 1.5):
+        with pytest.raises(ConfigError, match="seed"):
+            kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
+                      seed=bad)
 
 
 def test_adr_constant_ratio_is_one():
@@ -242,6 +247,15 @@ def test_report_label_count_must_match_rows():
             anchoring_report(model, tgt.features, truth, ratio)
     with pytest.raises(RangeError, match="label count"):
         anchoring_report(model, tgt.features, tgt.true_labels[:, None], ratio)
+
+
+def test_report_rejects_fractional_labels():
+    # true_labels + 0.5 was once scored as its integer part
+    model, src, tgt, ratio = fitted_pair(seed=5)
+    with pytest.raises(RangeError, match="must be integers"):
+        anchoring_report(model, tgt.features, tgt.true_labels + 0.5, ratio)
+    rep = anchoring_report(model, tgt.features, tgt.true_labels + 0.0, ratio)
+    assert rep == anchoring_report(model, tgt.features, tgt.true_labels, ratio)
 
 
 def test_report_fraction_validation():

@@ -314,6 +314,23 @@ def test_absent_classes_are_fitted_once(monkeypatch):
     assert fits == {k: 1 for k in absent}
 
 
+@pytest.mark.parametrize("suite, pca_fits, distance_calls",
+                         [("closed", 432, 216), ("pda", 37, 26)])
+def test_suite_fit_work_counts(monkeypatch, suite, pca_fits, distance_calls):
+    # recorded before the solver carried class indices and skipped the
+    # refit at the start of a stage: the fast path neither adds nor drops
+    # a class refit or a distance recomputation
+    source, target, labels, config = suite_pair(suite)
+    counts = {"fit_pca": 0, "compute_distances": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(core, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(core, name, counted)
+    fit_progressive(source.features, labels, target.features, config)
+    assert counts == {"fit_pca": pca_fits, "compute_distances": distance_calls}
+
+
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["grid", "normal", "duplicates", "near"]),
