@@ -21,8 +21,8 @@ residual total and its distance column bit for bit instead of being
 refitted; only the columns of refitted classes are recomputed, which can
 move their last bits against a recomputation of every column.  A refit
 that changes no class ends the inner loop, and the next stage starts
-from that fixed point unrefitted.  Memberships are class indices until
-the loop returns its state."""
+from that fixed point unrefitted.  A state holds memberships as class
+indices, checked once when a fit starts."""
 
 import json
 import math
@@ -95,30 +95,31 @@ class SourceLabels:
 
 @dataclass
 class AnchorState:
-    """Target-side state: memberships W, anchor indicators v, threshold, distances."""
+    """Target-side state: each row's class index and anchor indicator v,
+    threshold, distances; memberships is the one-hot W, built when read."""
 
-    memberships: np.ndarray   # (m, K) one-hot
+    assigned: np.ndarray      # (m,) class indices in {0..num_classes-1}
     anchors: np.ndarray       # (m,) in {0, 1}
     threshold: float
     distances: np.ndarray     # (m,) residual to the assigned subspace
+    num_classes: int
+
+    memberships = property(
+        lambda self: np.eye(self.num_classes, dtype=np.int64)[self.assigned])
 
 
 def _check_state(state, m, K):
-    if state.memberships.shape != (m, K) or state.anchors.shape != (m,):
-        raise DimensionMismatch(
-            "state must hold (%d, %d) memberships and (%d,) anchors, got "
-            "membership shape %r and anchor shape %r"
-            % (m, K, m, state.memberships.shape, state.anchors.shape))
-
-
-class _Assignment:
-    """The state inner_solve refits on: each row's class index and anchor
-    indicator, with the (m, K) one-hot memberships built only when read."""
-
-    def __init__(self, assigned, K, anchors):
-        self.assigned, self.K, self.anchors = assigned, K, anchors
-
-    memberships = property(lambda self: np.eye(self.K, dtype=np.int64)[self.assigned])
+    a, v = state.assigned, state.anchors
+    if a.shape != (m,) or v.shape != (m,):
+        raise DimensionMismatch("state must hold %d membership class indices and %d "
+                                "anchors, got membership shape %r and anchor shape %r"
+                                % (m, m, a.shape, v.shape))
+    if (state.num_classes != K or a.dtype.kind not in "iu"
+            or m and not 0 <= a.min() <= a.max() < K):
+        raise RangeError("state must have %d classes and integer class indices in "
+                         "{0..%d}, got num_classes %r" % (K, K - 1, state.num_classes))
+    if not np.isin(v, (0, 1)).all():
+        raise RangeError("state anchors must be 0 or 1")
 
 
 @dataclass
@@ -268,19 +269,18 @@ def _objective_value(source_total, c, v, lam):
 def objective(model, X_s, labels, X_t, state):
     """Unified objective: source residuals + anchored target residuals - lam * #anchored.
 
-    A fresh refit memo sums the source term over model's subspaces;
-    residuals_sq rejects an X_s of another width, and a model of another
-    class count than labels or a state not (m, K) and (m,) raise
+    A fresh refit memo checks the inputs and state and sums the source
+    term over model's subspaces; residuals_sq rejects an X_s of another
+    width, and a model of another class count than labels raises
     DimensionMismatch."""
-    refits = _ClassRefits(X_s, labels)
     if model.num_classes != labels.num_classes:
         raise DimensionMismatch("model has %d classes, labels %d"
                                 % (model.num_classes, labels.num_classes))
+    refits = _ClassRefits(X_s, labels, X_t, state)
     refits.subspaces = list(model.subspaces)
-    dists = compute_distances(model, X_t)
-    _check_state(state, *dists.shape)
+    dists = compute_distances(model, refits.X_t)
     return _objective_value(refits.source_total(),
-                            (state.memberships * dists).sum(axis=1),
+                            dists[np.arange(dists.shape[0]), state.assigned],
                             state.anchors, state.threshold)
 
 
@@ -288,8 +288,10 @@ class _ClassRefits:
     """Per-class refit memo for the life of one fit.
 
     Its constructor is where a fit and objective check their inputs: X_s and,
-    when given, X_t must be 2-D and finite with equal widths, and labels
-    must have one entry per source row.  It holds the checked X_t and,
+    when given, X_t must be 2-D and finite with equal widths, labels must
+    have one entry per source row, and a state must hold (m,) class
+    indices in {0..K-1}, (m,) anchors in {0, 1} and num_classes K, with m
+    the rows of X_t (0 without it).  It holds the checked X_t and,
     for compute_distances, X_t centred on the mean of its rows with their
     squared norms; each class's source rows; and, per class, the anchored
     target row indices its current subspace was fitted on, that subspace
@@ -300,7 +302,7 @@ class _ClassRefits:
     on it changed no class.
     """
 
-    def __init__(self, X_s, labels, X_t=None):
+    def __init__(self, X_s, labels, X_t=None, state=None):
         X_s = check_matrix(X_s, "source features")
         check_labels(labels.labels, X_s.shape[0], "source")
         if X_t is not None:
@@ -309,6 +311,8 @@ class _ClassRefits:
         self.X_t = X_t
         self.blocks = [X_s[labels.labels == k] for k in range(labels.num_classes)]
         K = len(self.blocks)
+        if state is not None:
+            _check_state(state, 0 if X_t is None else X_t.shape[0], K)
         self.anchored = [None] * K
         self.subspaces = [None] * K
         self.residuals = [None] * K
@@ -318,20 +322,14 @@ class _ClassRefits:
 
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
-        with its membership and anchor indicator 1, in row order; a class
-        whose anchored rows equal those of its stored subspace keeps it.
-        Sets refitted to the indices of the classes refitted.  A state
-        whose shapes are not (m, K) and (m,), m = 0 without X_t, raises
-        DimensionMismatch; the solver's own states are not checked."""
+        assigned to it with anchor indicator 1, in row order; a class whose
+        anchored rows equal those of its stored subspace keeps it.  Sets
+        refitted to the indices of the classes refitted."""
         K = len(self.blocks)
         targets = classes = np.zeros(0, dtype=np.intp)
-        if isinstance(state, _Assignment):
+        if state is not None:
             targets = state.anchors.nonzero()[0]
             classes = state.assigned[targets]
-        elif state is not None:
-            _check_state(state, 0 if self.X_t is None else self.X_t.shape[0], K)
-            targets, classes = np.nonzero((state.memberships == 1)
-                                          & (state.anchors == 1)[:, None])
         # a stable sort by class keeps each class's rows in row order
         picked = targets[np.argsort(classes, kind="stable")]
         ends = [0] + np.cumsum(np.bincount(classes, minlength=K)).tolist()
@@ -364,14 +362,14 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     """Fit one subspace per class on its source rows plus anchored targets.
 
     For class k the fitting set is the source rows labeled k followed by
-    the target rows with membership k and anchor indicator 1, in their
+    the target rows assigned to k with anchor indicator 1, in their
     original row order.  With no state (or nothing anchored) this is the
     plain per-class source PCA.  The solver passes its per-fit memo as
     _refits, so only the classes whose anchored rows changed are refitted.
     """
     config = config or PasConfig()
     if _refits is None:
-        _refits = _ClassRefits(X_s, labels, X_t)
+        _refits = _ClassRefits(X_s, labels, X_t, state)
     return PasModel(subspaces=_refits.refit(state, config.dim), config=config)
 
 
@@ -390,7 +388,7 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     """
     config = config or PasConfig()
     if _refits is None:
-        _refits = _ClassRefits(X_s, labels, X_t)
+        _refits = _ClassRefits(X_s, labels, X_t, warm_state)
     X_t = _refits.X_t
 
     # fitted: the memo's subspaces were fitted on state's anchored rows
@@ -410,15 +408,14 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
         assigned = dists.argmin(axis=1)
         c = dists[np.arange(dists.shape[0]), assigned]   # the row minima
         v = anchor(c, lam)
-        state, fitted = _Assignment(assigned, dists.shape[1], v), False
+        state, fitted = AnchorState(assigned, v, lam, c, dists.shape[1]), False
         history.append(_objective_value(_refits.source_total(), c, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
-    result = AnchorState(state.memberships, state.anchors, lam, c)
-    _refits.fixed_point = result if fitted else None
-    return PasModel(subspaces=list(_refits.subspaces), config=config), result, history
+    _refits.fixed_point = state if fitted else None
+    return PasModel(subspaces=list(_refits.subspaces), config=config), state, history
 
 
 def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
@@ -450,7 +447,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
         model, state, history = inner_solve(X_s, labels, X_t, lam, state, config,
                                             _refits=refits)
         acc = None if eval_labels is None else float(
-            np.mean(np.argmax(state.memberships, axis=1) == eval_labels))
+            np.mean(state.assigned == eval_labels))
         trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
                                  anchored=int(state.anchors.sum()),
                                  objective=history[-1], pseudo_accuracy=acc))

@@ -70,6 +70,7 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("num_classes", "dim", "per_class"):
             setattr(self, name, check_count(getattr(self, name), name))
+        self.seed = check_count(self.seed, "seed", ConfigError, low=0)
         magnitudes = (self.shift.rotation, self.shift.translation, self.shift.noise)
         # NaN fails both x < 0 and x > 0, so it would silently mean "no shift"
         if not all(math.isfinite(x) and x >= 0 for x in magnitudes):
@@ -78,10 +79,11 @@ class SynthConfig:
         if self.shift.rotation > 0 and self.dim < 2:
             raise ConfigError("rotation requires dim >= 2")
         if self.pda_keep is not None:
-            keep = tuple(sorted(set(int(k) for k in self.pda_keep)))
+            keep = tuple(sorted({check_count(k, "pda_keep class", low=0)
+                                 for k in self.pda_keep}))
             if not keep:
                 raise ConfigError("pda_keep must be nonempty when given")
-            if keep[0] < 0 or keep[-1] >= self.num_classes:
+            if keep[-1] >= self.num_classes:
                 raise ConfigError("pda_keep classes outside {0..%d}"
                                   % (self.num_classes - 1))
             object.__setattr__(self, "pda_keep", keep)

@@ -175,10 +175,13 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
 
 
 def adr(model, X, indices):
-    """Average density ratio over the selected sample subset."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Average density ratio over the selected sample subset; indices
+    must be integers (not a boolean mask) within the rows of X."""
+    indices = np.asarray(indices)
     if indices.size == 0:
         raise EmptySelection("no indices selected")
+    if indices.dtype.kind not in "iu":
+        raise EmptySelection("indices must be integers, got dtype %s" % indices.dtype)
     X = np.asarray(X, dtype=float)
     if indices.min() < 0 or indices.max() >= X.shape[0]:
         raise EmptySelection("indices out of range")

@@ -196,6 +196,13 @@ def test_synth_bad_config_exit_2(tmp_path):
     assert not os.path.exists(str(tmp_path / "z") + "_source.csv")
 
 
+def test_synth_negative_seed_exit_2(tmp_path, capsys):
+    prefix = str(tmp_path / "z")
+    assert main(synth_args(prefix, seed=-1)) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(prefix + "_source.csv")
+
+
 def test_fit_label_beyond_int64_exit_2(tmp_path):
     prefix = make_data(tmp_path)
     labels = tmp_path / "big.txt"

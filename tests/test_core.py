@@ -67,7 +67,8 @@ def replicate_inner(Xs, labels, Xt, lam, config, warm_state=None):
         W = assign_memberships(dists)
         c = dists.min(axis=1)
         v = anchor(c, lam)
-        state = AnchorState(memberships=W, anchors=v, threshold=lam, distances=c)
+        state = AnchorState(assigned=W.argmax(axis=1), anchors=v, threshold=lam,
+                            distances=c, num_classes=W.shape[1])
         check_state(state)
         history.append(objective(model, Xs, labels, Xt, state))
         if len(history) >= 2 and abs(history[-1] - history[-2]) \
@@ -225,7 +226,7 @@ def test_objective_source_only_when_nothing_anchored():
     dists = compute_distances(model, Xt)
     W = assign_memberships(dists)
     c = dists.min(axis=1)
-    state = AnchorState(W, anchor(c, 0.0), 0.0, c)
+    state = AnchorState(W.argmax(axis=1), anchor(c, 0.0), 0.0, c, 2)
     source_total = sum(residual_sq(model.subspaces[k], x)
                        for x, k in zip(Xs, labels.labels))
     assert objective(model, Xs, labels, Xt, state) == pytest.approx(
@@ -243,7 +244,7 @@ def test_objective_pure_regularizer_when_residuals_vanish():
     dists = compute_distances(model, Xt)
     W = assign_memberships(dists)
     c = dists.min(axis=1)
-    state = AnchorState(W, anchor(c, 1.0), 1.0, c)
+    state = AnchorState(W.argmax(axis=1), anchor(c, 1.0), 1.0, c, 2)
     assert state.anchors.sum() == 3
     assert objective(model, Xs, labels, Xt, state) == pytest.approx(-3.0, abs=1e-12)
 
@@ -261,7 +262,7 @@ def test_objective_term_by_term_summation_oracle():
     lam = float(np.median(c)) + 0.1
     v = anchor(c, lam)
     assert 0 < v.sum() < 6
-    state = AnchorState(W, v, lam, c)
+    state = AnchorState(W.argmax(axis=1), v, lam, c, 2)
     total = 0.0
     for i in range(8):
         total += residual_sq(model.subspaces[ys[i]], Xs[i])
@@ -281,7 +282,8 @@ def test_objective_checks_label_count():
     model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
     dists = compute_distances(model, Xt)
     c = dists.min(axis=1)
-    state = AnchorState(assign_memberships(dists), anchor(c, 0.0), 0.0, c)
+    state = AnchorState(assign_memberships(dists).argmax(axis=1), anchor(c, 0.0),
+                        0.0, c, 2)
     ys = labels.labels
     for wrong in (ys[:-3], np.concatenate([ys, ys[:2]])):
         bad = SourceLabels(labels=wrong, num_classes=labels.num_classes)
@@ -292,17 +294,20 @@ def test_objective_checks_label_count():
             fit_progressive(Xs, bad, np.zeros((4, Xs.shape[1] + 1)))
 
 
-@pytest.mark.parametrize("shape", [(5, 2), (16, 3), (16,), (16, 2)])
+# class index shapes: too few rows, too many, a column, and indices that
+# fit with anchors of shape (1,)
+@pytest.mark.parametrize("shape", [(5,), (17,), (16, 1), (16,)])
 def test_objective_checks_membership_shape(shape):
     Xs, labels, Xt, _ = make_instance(23)
     model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
     c = compute_distances(model, Xt).min(axis=1)
-    if shape == (16, 2):
+    if shape == (16,):
         # memberships that fit, anchors of shape (1,): once gave a number
         c = c[:1]
-    W = np.zeros(shape, dtype=np.int64)
+    assigned = np.zeros(shape, dtype=np.int64)
     with pytest.raises(DimensionMismatch, match="membership shape"):
-        objective(model, Xs, labels, Xt, AnchorState(W, anchor(c, 0.0), 0.0, c))
+        objective(model, Xs, labels, Xt,
+                  AnchorState(assigned, anchor(c, 0.0), 0.0, c, 2))
 
 
 def test_objective_checks_class_count():
@@ -314,7 +319,8 @@ def test_objective_checks_class_count():
         model = fit_class_subspaces(Xs, model_labels, config=PasConfig(dim=1))
         dists = compute_distances(model, Xt)
         c = dists.min(axis=1)
-        state = AnchorState(assign_memberships(dists), anchor(c, 1.0), 1.0, c)
+        state = AnchorState(assign_memberships(dists).argmax(axis=1),
+                            anchor(c, 1.0), 1.0, c, model.num_classes)
         with pytest.raises(DimensionMismatch, match="classes"):
             objective(model, Xs, labels, Xt, state)
 
@@ -324,33 +330,95 @@ def test_objective_checks_source_width():
     model = fit_class_subspaces(Xs, labels, config=PasConfig(dim=1))
     dists = compute_distances(model, Xt)
     c = dists.min(axis=1)
-    state = AnchorState(assign_memberships(dists), anchor(c, 0.0), 0.0, c)
+    state = AnchorState(assign_memberships(dists).argmax(axis=1), anchor(c, 0.0),
+                        0.0, c, 2)
     with pytest.raises(DimensionMismatch):
         objective(model, Xs[:, :-1], labels, Xt, state)
 
 
 # --- inner_solve ------------------------------------------------------------
 
+# memberships: the shape of the class indices
 @pytest.mark.parametrize("memberships, anchors", [
-    ((5, 2), (5,)),   # too few rows once fitted on the wrong target rows
-    ((9, 2), (9,)),   # too many rows once raised a bare IndexError
-    ((8, 1), (8,)),   # fewer than K columns likewise
-    ((8, 2), (5,)),   # short anchors once failed to broadcast
-    ((8, 2), (8,)),   # fits X_t, but given without it was once ignored
+    ((5,), (5,)),     # too few rows once fitted on the wrong target rows
+    ((9,), (9,)),     # too many rows once raised a bare IndexError
+    ((8, 1), (8,)),   # a column of indices (one-hot: fewer than K columns)
+    ((8,), (5,)),     # short anchors once failed to broadcast
+    ((8,), (8,)),     # fits X_t, but given without it was once ignored
+    ((8,), (8, 1)),   # a column of anchors
 ])
 def test_warm_state_of_wrong_shape_rejected(memberships, anchors):
     Xs, labels, Xt, _ = make_instance(30, n_per=4, K=2)
     assert Xt.shape[0] == 8
-    if (memberships, anchors) == ((8, 2), (8,)):
+    if (memberships, anchors) == ((8,), (8,)):
         Xt = None
-    W = np.zeros(memberships, dtype=np.int64)
-    W[:, 0] = 1
+    assigned = np.zeros(memberships, dtype=np.int64)
     v = np.ones(anchors, dtype=np.int64)
-    state = AnchorState(W, v, 1.0, np.zeros(anchors))
+    state = AnchorState(assigned, v, 1.0, np.zeros(anchors), 2)
     with pytest.raises(DimensionMismatch, match="state must hold"):
         inner_solve(Xs, labels, Xt, 1.0, warm_state=state)
     with pytest.raises(DimensionMismatch, match="state must hold"):
         fit_class_subspaces(Xs, labels, Xt, state)
+
+
+def _with_assigned(assigned):
+    return lambda state: dataclasses.replace(state, assigned=assigned(state.assigned))
+
+
+def _with_anchor(value):
+    def defect(state):
+        anchors = state.anchors.astype(type(value))
+        anchors[2] = value
+        return dataclasses.replace(state, anchors=anchors)
+    return defect
+
+
+@pytest.mark.parametrize("defect, message", [
+    (_with_assigned(lambda a: np.where(np.arange(8) == 3, 2, a)), "class indices"),
+    (_with_assigned(lambda a: np.where(np.arange(8) == 3, -1, a)), "class indices"),
+    (_with_assigned(lambda a: a + 0.5), "class indices"),
+    (_with_assigned(lambda a: a.astype(float)), "class indices"),
+    (_with_assigned(lambda a: a.astype(bool)), "class indices"),
+    # an anchor of 2 was once counted twice by objective and ignored by refit
+    (_with_anchor(2), "anchors must be 0 or 1"),
+    (_with_anchor(-1), "anchors must be 0 or 1"),
+    (_with_anchor(0.5), "anchors must be 0 or 1"),
+    (_with_anchor(np.nan), "anchors must be 0 or 1"),
+    (lambda state: dataclasses.replace(state, num_classes=1), "num_classes 1"),
+    (lambda state: dataclasses.replace(state, num_classes=3), "num_classes 3"),
+])
+def test_malformed_state_rejected(defect, message):
+    Xs, labels, Xt, _ = make_instance(30, n_per=4, K=2)
+    model = fit_class_subspaces(Xs, labels)
+    dists = compute_distances(model, Xt)
+    c = dists.min(axis=1)
+    lam = float(np.median(c))
+    good = AnchorState(assign_memberships(dists).argmax(axis=1), anchor(c, lam),
+                       lam, c, 2)
+    assert np.isfinite(objective(model, Xs, labels, Xt, good))
+    state = defect(good)
+    with pytest.raises(RangeError, match=message):
+        fit_class_subspaces(Xs, labels, Xt, state)
+    with pytest.raises(RangeError, match=message):
+        inner_solve(Xs, labels, Xt, 1.0, warm_state=state)
+    with pytest.raises(RangeError, match=message):
+        objective(model, Xs, labels, Xt, state)
+
+
+def test_state_memberships_are_a_one_hot_view():
+    Xs, labels, Xt, _ = make_instance(32, K=3)
+    model = fit_class_subspaces(Xs, labels)
+    dists = compute_distances(model, Xt)
+    W = assign_memberships(dists)
+    c = dists.min(axis=1)
+    state = AnchorState(W.argmax(axis=1), anchor(c, 0.0), 0.0, c, 3)
+    assert (state.memberships == W).all()
+    with pytest.raises(AttributeError):
+        state.memberships = W
+    _, solved, _ = inner_solve(Xs, labels, Xt, float(np.median(c)))
+    assert solved.memberships.shape == (Xt.shape[0], 3)
+    assert (solved.memberships.argmax(axis=1) == solved.assigned).all()
+    assert (solved.memberships.sum(axis=1) == 1).all()
 
 
 def test_inner_solve_zero_shift_converges_fast():
@@ -426,7 +494,7 @@ def test_fit_class_subspaces_explicit_union_oracle():
     lam = float(np.quantile(c, 0.7))
     v = anchor(c, lam)
     assert 0 < v.sum() < len(c)
-    state = AnchorState(W, v, lam, c)
+    state = AnchorState(W.argmax(axis=1), v, lam, c, 2)
     model = fit_class_subspaces(Xs, labels, Xt, state, config)
     for k in range(2):
         union = np.vstack([Xs[labels.labels == k],
@@ -446,7 +514,7 @@ def test_fit_class_subspaces_all_anchored_equals_pooled_classes():
     W = assign_memberships(dists)
     c = dists.min(axis=1)
     lam = float(c.max()) * 1.01 + 1e-9
-    state = AnchorState(W, anchor(c, lam), lam, c)
+    state = AnchorState(W.argmax(axis=1), anchor(c, lam), lam, c, 2)
     assert state.anchors.sum() == len(c)
     assert (np.argmax(W, axis=1) == ys).all()
     model = fit_class_subspaces(Xs, labels, Xt, state, config)

@@ -246,6 +246,12 @@ def test_seed_changes_data():
     assert a_src.features.tobytes() != b_src.features.tobytes()
 
 
+def test_numpy_integer_seed_and_classes_stored_as_int():
+    cfg = base_cfg(seed=np.int64(7), pda_keep=(np.int64(2), 0, 2))
+    assert type(cfg.seed) is int and cfg.pda_keep == (0, 2)
+    assert all(type(k) is int for k in cfg.pda_keep)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         base_cfg(num_classes=0)
@@ -265,6 +271,15 @@ def test_config_validation():
         base_cfg(pda_keep=())
     with pytest.raises(ConfigError):
         base_cfg(pda_keep=(0, 5))
+    # a seed of -1 once raised numpy's bare ValueError when data was drawn,
+    # True was taken as 1 and 1.5 raised a bare TypeError
+    for seed in (-1, True, 1.5, "1"):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            base_cfg(seed=seed)
+    # pda_keep (0, 1.5) was once truncated to (0, 1) and True taken as 1
+    for keep in ((0, 1.5), (0, True), (True,), (0, 1.0), (0, "1"), (-1, 0)):
+        with pytest.raises(ConfigError, match="pda_keep"):
+            base_cfg(pda_keep=keep)
     with pytest.raises(ConfigError):
         SynthConfig(num_classes=2, dim=1, per_class=5,
                     shift=Shift(rotation=0.5, translation=0.0, noise=0.0))

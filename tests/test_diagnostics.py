@@ -171,6 +171,13 @@ def test_adr_empty_selection():
         adr(model, np.zeros((3, 2)), np.array([], dtype=int))
     with pytest.raises(EmptySelection):
         adr(model, np.zeros((3, 2)), np.array([5]))
+    # a boolean mask once selected rows 0 and 1, and [0.7] row 0
+    for indices in (np.array([True, True, False]), np.array([0.7]),
+                    np.array([1.0]), [0, 2.5]):
+        with pytest.raises(EmptySelection, match="indices must be integers"):
+            adr(model, np.zeros((3, 2)), indices)
+    assert adr(model, np.zeros((3, 2)), [0, 2]) == adr(
+        model, np.zeros((3, 2)), np.array([0, 2], dtype=np.uint8))
 
 
 def fitted_pair(seed=0, **shift_kw):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from pas import (
+    AnchorState,
     PasConfig,
     PasModel,
     Shift,
@@ -31,6 +32,7 @@ from pas import (
     fit_progressive,
     inner_solve,
     lambda_for_fraction,
+    objective,
     predict,
     residuals_sq,
     synth_shifted_pair,
@@ -329,6 +331,67 @@ def test_suite_fit_work_counts(monkeypatch, suite, pca_fits, distance_calls):
         monkeypatch.setattr(core, name, counted)
     fit_progressive(source.features, labels, target.features, config)
     assert counts == {"fit_pca": pca_fits, "compute_distances": distance_calls}
+
+
+def one_hot_rows(state):
+    """Each class's anchored target rows, in row order, picked from the
+    one-hot memberships as the refit memo once did: the nonzero cells of
+    (W == 1) & (v == 1), stably sorted by class."""
+    targets, classes = np.nonzero((state.memberships == 1)
+                                  & (state.anchors == 1)[:, None])
+    picked = targets[np.argsort(classes, kind="stable")]
+    ends = np.cumsum(np.bincount(classes, minlength=state.num_classes))
+    return np.split(picked, ends[:-1])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6),
+       m=st.integers(0, 40), share=st.floats(0.0, 1.0), moved=st.integers(0, 40))
+def test_refit_picks_the_one_hot_rows(seed, K, m, share, moved):
+    # a random valid state, then one with `moved` rows reassigned or
+    # re-anchored, so the memo both refits and keeps classes
+    rng = np.random.default_rng(seed)
+    labels = SourceLabels(labels=np.repeat(np.arange(K), 2), num_classes=K)
+    Xs, Xt = rng.normal(size=(2 * K, 3)), rng.normal(size=(m, 3))
+    assigned = rng.integers(0, K, size=m)
+    anchors = (rng.uniform(size=m) < share).astype(np.int64)
+    first = AnchorState(assigned, anchors, 1.0, np.zeros(m), K)
+    rows = rng.integers(0, max(m, 1), size=min(moved, m))
+    assigned, anchors = assigned.copy(), anchors.copy()
+    assigned[rows] = rng.integers(0, K, size=rows.size)
+    anchors[rows] = rng.integers(0, 2, size=rows.size)
+    second = AnchorState(assigned, anchors, 1.0, np.zeros(m), K)
+    refits = core._ClassRefits(Xs, labels, Xt, first)
+    for state in (first, second):
+        refits.refit(state, 1)
+        oracle = one_hot_rows(state)
+        assert len(refits.anchored) == len(oracle) == K
+        for got, expected in zip(refits.anchored, oracle):
+            assert np.array_equal(got, expected)
+
+
+def test_state_checked_once_per_public_call(monkeypatch):
+    calls = []
+    check = core._check_state
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(core, "_check_state", counted)
+    source, target, labels, config = suite_pair("closed")
+    _, trace = fit_progressive(source.features, labels, target.features, config)
+    assert len(trace) == 101
+    assert calls == []
+    Xs, labels, Xt, _ = make_instance(33, K=3)
+    model, state, _ = inner_solve(Xs, labels, Xt, 1.0)
+    assert calls == []
+    for call in (lambda: inner_solve(Xs, labels, Xt, 2.0, warm_state=state),
+                 lambda: fit_class_subspaces(Xs, labels, Xt, state),
+                 lambda: objective(model, Xs, labels, Xt, state)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 @PROPERTY
