@@ -22,7 +22,16 @@ refitted; only the columns of refitted classes are recomputed, which can
 move their last bits against a recomputation of every column.  A refit
 that changes no class ends the inner loop, and the next stage starts
 from that fixed point unrefitted.  A state holds memberships as class
-indices, checked once when a fit starts."""
+indices, checked once when a fit starts.
+
+A class with at least d source rows keeps its source moments (count,
+mean and centred scatter) in the memo, built once per fit when first
+needed.  Its anchored refits use the moments plus the anchored rows
+alone, on fit_pca's covariance route, and its source residual total is
+summed in closed form from the same moments.  A class with no anchored
+rows is fitted by fit_pca on its source rows, bit for bit as before; a
+class with fewer source rows than d is fitted on its stacked rows and
+never builds a d x d scatter."""
 
 import json
 import math
@@ -33,7 +42,7 @@ import numpy as np
 from . import data
 from .errors import (ConfigError, DimensionMismatch, EmptyTarget, RangeError,
                      check_count, check_fraction, check_labels, check_matrix)
-from .subspace import Subspace, fit_pca, residuals_sq
+from .subspace import Subspace, _covariance_fit, fit_pca, residuals_sq
 
 # The expanded residual loses about d * eps of ||x - c||^2 + ||mu_k - c||^2
 # to cancellation, so a cell above this fraction of that sum keeps a
@@ -294,12 +303,14 @@ class _ClassRefits:
     the rows of X_t (0 without it).  It holds the checked X_t and,
     for compute_distances, X_t centred on the mean of its rows with their
     squared norms; each class's source rows; and, per class, the anchored
-    target row indices its current subspace was fitted on, that subspace
-    and its source residual total (computed when first asked for).
-    refitted lists the classes the last refit fitted anew, and dists is
-    the distance matrix of the current subspaces once the solver has set
-    it.  fixed_point is the state inner_solve last returned, if a refit
-    on it changed no class.
+    target row indices its current subspace was fitted on, that subspace,
+    its source residual total (computed when first asked for) and, for a
+    class with at least d source rows, its _SourceMoments (built when
+    first needed), from which refit and source_total work instead of the
+    class's source rows.  refitted lists the classes the last refit
+    fitted anew, and dists is the distance matrix of the current
+    subspaces once the solver has set it.  fixed_point is the state
+    inner_solve last returned, if a refit on it changed no class.
     """
 
     def __init__(self, X_s, labels, X_t=None, state=None):
@@ -316,6 +327,7 @@ class _ClassRefits:
         self.anchored = [None] * K
         self.subspaces = [None] * K
         self.residuals = [None] * K
+        self.moments = [None] * K
         self.refitted = []
         self.dists = None
         self.fixed_point = None
@@ -323,8 +335,11 @@ class _ClassRefits:
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
         assigned to it with anchor indicator 1, in row order; a class whose
-        anchored rows equal those of its stored subspace keeps it.  Sets
-        refitted to the indices of the classes refitted."""
+        anchored rows equal those of its stored subspace keeps it.  A class
+        with no anchored rows is fitted by fit_pca on its source rows, one
+        with anchored rows from its source moments when it has them, else
+        by fit_pca on the stacked rows.  Sets refitted to the indices of
+        the classes refitted."""
         K = len(self.blocks)
         targets = classes = np.zeros(0, dtype=np.intp)
         if state is not None:
@@ -339,8 +354,12 @@ class _ClassRefits:
             old = self.anchored[k]
             if old is not None and old.size == rows_t.size and (old == rows_t).all():
                 continue
-            rows = np.vstack([block, self.X_t[rows_t]]) if rows_t.size else block
-            self.subspaces[k] = fit_pca(rows, dim=dim)
+            moments = self._moments(k) if rows_t.size else None
+            if moments is not None:
+                self.subspaces[k] = moments.fit(self.X_t[rows_t], dim)
+            else:
+                rows = np.vstack([block, self.X_t[rows_t]]) if rows_t.size else block
+                self.subspaces[k] = fit_pca(rows, dim=dim)
             self.anchored[k] = rows_t
             self.residuals[k] = None
             self.refitted.append(k)
@@ -348,13 +367,67 @@ class _ClassRefits:
 
     def source_total(self):
         """Source residual total of the current subspaces, summed in class
-        order from 0.0."""
+        order from 0.0; each class's term is residuals_sq summed over its
+        rows, or in closed form from its source moments when it has at
+        least d source rows."""
         total = 0.0
         for k, block in enumerate(self.blocks):
             if self.residuals[k] is None:
-                self.residuals[k] = float(residuals_sq(self.subspaces[k], block).sum())
+                moments = self._moments(k)
+                self.residuals[k] = (
+                    float(residuals_sq(self.subspaces[k], block).sum())
+                    if moments is None else moments.residual(self.subspaces[k]))
             total += self.residuals[k]
         return total
+
+    def _moments(self, k):
+        """Class k's _SourceMoments, built when first asked for; None when
+        its source block has fewer rows than columns."""
+        block = self.blocks[k]
+        if block.shape[0] < block.shape[1]:
+            return None
+        if self.moments[k] is None:
+            self.moments[k] = _SourceMoments(block)
+        return self.moments[k]
+
+
+class _SourceMoments:
+    """Count n, mean m, first moment g = sum of (x - m) (zero but for
+    rounding) and centred scatter S of one class's source rows x, which
+    stand in for those rows in a refit and in their residual total."""
+
+    def __init__(self, block):
+        self.n = block.shape[0]
+        # fit_pca's mean, so on a subspace fitted on these rows alone
+        # residual() has m - mu = 0 exactly
+        self.mean = np.full(self.n, 1.0 / self.n) @ block
+        Y = block - self.mean
+        self.first = Y.sum(axis=0)
+        self.scatter = Y.T @ Y
+
+    def scatter_about(self, mu):
+        """The sum of (x - mu)(x - mu)' over the rows: S + n dd' + gd' + dg'
+        with d = m - mu.  Without the g terms a rounded m would leave an
+        error of first order in d."""
+        delta = self.mean - mu
+        gd = np.outer(self.first, delta)
+        return self.scatter + self.n * np.outer(delta, delta) + gd + gd.T
+
+    def fit(self, R, dim):
+        """fit_pca of the rows followed by the rows R, up to rounding, from
+        the moments and R alone, on fit_pca's covariance route."""
+        n = self.n + R.shape[0]
+        mean = (self.n * self.mean + R.sum(axis=0)) / n
+        Z = R - mean
+        return _covariance_fit(mean, (self.scatter_about(mean) + Z.T @ Z) / n, n, dim)
+
+    def residual(self, S):
+        """The rows' residual total on S, tr(A) - tr(B'AB) clamped at 0, with
+        A their scatter about S's mean and B its basis: within about
+        d * eps * tr(A) of the sum of residuals_sq."""
+        A = self.scatter_about(S.mean)
+        return max(float(np.trace(A)) - float(np.einsum("ij,ij->", A @ S.basis, S.basis)),
+                   0.0)
 
 
 def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,

@@ -14,7 +14,6 @@ points paired makes the zero-shift case exactly class-mean preserving.
 """
 
 import contextlib
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, ParseError, RangeError, check_count,
-                     check_labels, check_matrix)
+                     check_labels, check_matrix, check_real)
 
 # class blobs get one elongated principal direction so rank-1 subspaces
 # capture real structure rather than noise
@@ -71,11 +70,11 @@ class SynthConfig:
         for name in ("num_classes", "dim", "per_class"):
             setattr(self, name, check_count(getattr(self, name), name))
         self.seed = check_count(self.seed, "seed", ConfigError, low=0)
-        magnitudes = (self.shift.rotation, self.shift.translation, self.shift.noise)
         # NaN fails both x < 0 and x > 0, so it would silently mean "no shift"
-        if not all(math.isfinite(x) and x >= 0 for x in magnitudes):
-            raise ConfigError("shift magnitudes must be finite and nonnegative, "
-                              "got %r" % (magnitudes,))
+        for name in ("rotation", "translation", "noise"):
+            if check_real(getattr(self.shift, name), "shift " + name) < 0:
+                raise ConfigError("shift %s must be nonnegative, got %r"
+                                  % (name, getattr(self.shift, name)))
         if self.shift.rotation > 0 and self.dim < 2:
             raise ConfigError("rotation requires dim >= 2")
         if self.pda_keep is not None:

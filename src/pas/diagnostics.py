@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist, pdist
 # diagnostics.predict by name and fails on a missing attribute
 from .core import compute_distances, predict
 from .errors import (DegenerateKernel, EmptySelection, TooFewSamples, check_count,
-                     check_fraction, check_labels, check_matrix)
+                     check_fraction, check_labels, check_matrix, check_real)
 
 LOG_FLOOR = 1e-300
 # most halvings or doublings of the step in one line search
@@ -84,8 +84,9 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         Kernel centers are the first min(num_centers, m) target samples
         under a seeded shuffle.
     bandwidth : float, optional
-        Gaussian kernel width; defaults to the median pairwise distance
-        among the centers.
+        Gaussian kernel width, a finite real number > 0 (DegenerateKernel
+        otherwise); defaults to the median pairwise distance among the
+        centers.
     seed : int
         Seed for the center shuffle, an integer >= 0 (ConfigError
         otherwise).
@@ -111,10 +112,10 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         if centers.shape[0] < 2:
             raise DegenerateKernel("median bandwidth needs >= 2 centers")
         bandwidth = float(np.median(pdist(centers)))
-    bandwidth = float(bandwidth)
-    if not np.isfinite(bandwidth):
-        raise DegenerateKernel("bandwidth must be finite, got %r" % bandwidth)
-    if bandwidth <= 0.0:
+    bandwidth = check_real(bandwidth, "bandwidth", DegenerateKernel)
+    if bandwidth < 0.0:
+        raise DegenerateKernel("bandwidth must be positive, got negative %r" % bandwidth)
+    if bandwidth == 0.0:
         raise DegenerateKernel("bandwidth is zero (all points identical?)")
 
     denom = 2.0 * bandwidth ** 2

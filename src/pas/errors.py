@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the one check of each
-input rule: matrices, counts (and seeds), fractions and label vectors."""
+input rule: matrices, counts (and seeds), fractions, real numbers and
+label vectors."""
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -80,6 +82,16 @@ def check_fraction(x, name, high):
     """x as a plain float in (0, high]; a bool or non-real raises ConfigError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x <= high:
         raise ConfigError("%s must be in (0, %g], got %r" % (name, high, x))
+    return float(x)
+
+
+def check_real(x, name, error=ConfigError):
+    """x as a plain finite float; a bool, non-real, NaN, Inf or an integer
+    beyond the float range raises error.  Each caller checks the sign it
+    needs."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not abs(x) <= sys.float_info.max):
+        raise error("%s must be a finite real number, got %r" % (name, x))
     return float(x)
 
 

@@ -88,33 +88,45 @@ def fit_pca(X, dim):
 
     if d <= n:
         # d x d covariance route
-        M = (Y * w[:, None]).T @ Y
-    else:
-        # n x n Gram route for wide data
-        A = np.sqrt(w)[:, None] * Y
-        M = A @ A.T
-    evals, evecs = _top_eigenpairs(M, min(dim, M.shape[0]))
+        return _covariance_fit(mean, (Y * w[:, None]).T @ Y, n, dim)
+    # n x n Gram route for wide data
+    A = np.sqrt(w)[:, None] * Y
+    M = A @ A.T
+    evals, evecs = _top_eigenpairs(M, min(dim, n))
+    d_eff = _kept_dim(evals, M, n, dim, d)
+    # A'u / sqrt(eigenvalue) would be orthonormal only to about
+    # eps * trace / eigenvalue (eps / RANK_TOL at the rank cutoff), so
+    # one QR orthonormalizes the kept columns A'u instead
+    basis = np.linalg.qr(A.T @ evecs[:, :d_eff])[0]
+    return _signed_subspace(mean, basis, evals[:d_eff])
 
+
+def _covariance_fit(mean, M, n, dim):
+    """Subspace of `mean` and the top eigenpairs of the d x d covariance M
+    of n rows (d <= n): fit_pca's covariance route after the covariance,
+    which the solver also takes from moments it keeps."""
+    d = M.shape[0]
+    evals, evecs = _top_eigenpairs(M, min(dim, d))
+    d_eff = _kept_dim(evals, M, n, dim, d)
+    return _signed_subspace(mean, evecs[:, :d_eff].copy(), evals[:d_eff])
+
+
+def _kept_dim(evals, M, n, dim, d):
+    """The rank rule: how many of the top eigenvalues evals of the
+    covariance or Gram matrix M of n rows of width d a fit keeps."""
     trace = float(np.trace(M))   # a sum of squares, so >= 0
     rank = int((evals > RANK_TOL * trace).sum())
-    d_eff = min(dim, d, max(n - 1, 0), rank)
+    return min(dim, d, max(n - 1, 0), rank)
 
-    spectrum = np.maximum(evals[:d_eff], 0.0)
-    if d <= n:
-        basis = evecs[:, :d_eff].copy()
-    else:
-        # A'u / sqrt(eigenvalue) would be orthonormal only to about
-        # eps * trace / eigenvalue (eps / RANK_TOL at the rank cutoff), so
-        # one QR orthonormalizes the kept columns A'u instead
-        basis = np.linalg.qr(A.T @ evecs[:, :d_eff])[0]
 
-    # sign convention: largest-magnitude entry of each column nonnegative
-    for j in range(d_eff):
+def _signed_subspace(mean, basis, evals):
+    """The Subspace, each basis column flipped so its largest-magnitude
+    entry is nonnegative (basis is flipped in place)."""
+    for j in range(basis.shape[1]):
         k = int(np.argmax(np.abs(basis[:, j])))
         if basis[k, j] < 0:
             basis[:, j] = -basis[:, j]
-
-    return Subspace(mean=mean, basis=basis, spectrum=spectrum)
+    return Subspace(mean=mean, basis=basis, spectrum=np.maximum(evals, 0.0))
 
 
 def residuals_sq(S, X):

@@ -263,9 +263,11 @@ def test_config_validation():
             base_cfg(**bad)
     with pytest.raises(ConfigError):
         base_cfg(shift=Shift(rotation=-0.1, translation=0, noise=0))
-    for bad in (float("nan"), float("inf")):
+    # a magnitude is a real number: True once rotated by 1 radian and "1"
+    # raised a bare TypeError
+    for bad in (float("nan"), float("inf"), 10**400, True, np.True_, "1", None):
         for shift in (Shift(rotation=bad), Shift(translation=bad), Shift(noise=bad)):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match="shift"):
                 base_cfg(shift=shift)
     with pytest.raises(ConfigError):
         base_cfg(pda_keep=())

@@ -62,13 +62,18 @@ def test_degenerate_kernel():
     X = np.ones((10, 2))
     with pytest.raises(DegenerateKernel):
         kliep_fit(X, X.copy())
-    with pytest.raises(DegenerateKernel):
+    with pytest.raises(DegenerateKernel, match="zero"):
         kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
                   np.random.default_rng(1).normal(size=(5, 2)), bandwidth=0.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(DegenerateKernel):
+    # a bandwidth is a real number: True and "1" were once taken as 1.0
+    for bad in (float("nan"), float("inf"), True, np.True_, "1"):
+        with pytest.raises(DegenerateKernel, match="finite real number"):
             kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
                       np.random.default_rng(1).normal(size=(5, 2)), bandwidth=bad)
+    # a negative bandwidth was once reported as zero
+    with pytest.raises(DegenerateKernel, match="negative"):
+        kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
+                  np.random.default_rng(1).normal(size=(5, 2)), bandwidth=-1.0)
 
 
 @pytest.mark.parametrize("num_centers, target_rows", [(1, 5), (100, 1)])

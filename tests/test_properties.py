@@ -42,7 +42,7 @@ from pas.cli import SUITES
 from pas.core import StageRecord, model_from_dict, model_to_dict
 from pas.data import LabeledDataset
 from pas.subspace import RANK_TOL
-from test_core import make_instance, replicate_inner
+from test_core import assert_same_fit, make_instance, replicate_inner
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -316,21 +316,70 @@ def test_absent_classes_are_fitted_once(monkeypatch):
     assert fits == {k: 1 for k in absent}
 
 
-@pytest.mark.parametrize("suite, pca_fits, distance_calls",
+@pytest.mark.parametrize("suite, class_refits, distance_calls",
                          [("closed", 432, 216), ("pda", 37, 26)])
-def test_suite_fit_work_counts(monkeypatch, suite, pca_fits, distance_calls):
-    # recorded before the solver carried class indices and skipped the
-    # refit at the start of a stage: the fast path neither adds nor drops
-    # a class refit or a distance recomputation
+def test_suite_fit_work_counts(monkeypatch, suite, class_refits, distance_calls):
+    # recorded before the solver carried class indices, skipped the refit
+    # at the start of a stage and refitted classes from source moments: the
+    # fast paths neither add nor drop a class refit or a distance
+    # recomputation.  A moments refit calls no fit_pca, so class refits
+    # are counted at the memo.
     source, target, labels, config = suite_pair(suite)
-    counts = {"fit_pca": 0, "compute_distances": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(core, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(core, name, counted)
+    counts = {"class_refits": 0, "compute_distances": 0}
+    refit, distances = core._ClassRefits.refit, core.compute_distances
+
+    def counted_refit(self, *args):
+        subspaces = refit(self, *args)
+        counts["class_refits"] += len(self.refitted)
+        return subspaces
+
+    def counted_distances(*args, **kwargs):
+        counts["compute_distances"] += 1
+        return distances(*args, **kwargs)
+
+    monkeypatch.setattr(core._ClassRefits, "refit", counted_refit)
+    monkeypatch.setattr(core, "compute_distances", counted_distances)
     fit_progressive(source.features, labels, target.features, config)
-    assert counts == {"fit_pca": pca_fits, "compute_distances": distance_calls}
+    assert counts == {"class_refits": class_refits,
+                      "compute_distances": distance_calls}
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24),
+       extra=st.integers(0, 20), r=st.integers(1, 20), dim=st.integers(1, 6),
+       kind=st.sampled_from(["normal", "low_rank"]),
+       offset=st.sampled_from([0.0, 1.0, 1e2, 1e5]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
+                                               offset, scale):
+    # a class with n_s >= d source rows (n_s == d when extra is 0) and r
+    # anchored rows is refitted from its source moments: fit_pca's fit of
+    # the stacked rows up to rounding, and its source residual total in
+    # closed form within 4 d eps tr(A) of the per-row sum
+    rng = np.random.default_rng(seed)
+    n_s = d + extra
+    if kind == "normal":
+        Z = rng.normal(size=(n_s + r, d)) * rng.uniform(0.1, 3.0, size=d)
+        Z[n_s:] += rng.normal(size=d)
+    else:
+        # 1 to dim + 1 directions, anchored rows on the same flat.  Not
+        # none: the covariance of equal rows is rounding noise, whose rank
+        # no fit can tell
+        k = int(rng.integers(1, min(dim + 1, d) + 1))
+        Z = rng.normal(size=(n_s + r, k)) @ rng.normal(size=(k, d))
+    X = scale * Z + offset * rng.normal(size=d)
+    Xs, R = X[:n_s], X[n_s:]
+    labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
+    state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
+                        1.0, np.zeros(r), 1)
+    refits = core._ClassRefits(Xs, labels, R, state)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(core, "fit_pca", None)   # a stacked fit fails
+        S = refits.refit(state, dim)[0]
+    assert_same_fit(S, fit_pca(X, dim), X)
+    Y = Xs - S.mean
+    bound = 4 * d * np.finfo(float).eps * float((Y * Y).sum())
+    assert abs(refits.source_total() - float(residuals_sq(S, Xs).sum())) <= bound
 
 
 def one_hot_rows(state):
