@@ -27,14 +27,16 @@ indices, checked once when a fit starts.
 A class with at least d source rows keeps its source moments (count,
 mean and centred scatter) in the memo, built once per fit when first
 needed.  Its anchored refits use the moments plus the anchored rows
-alone, on fit_pca's covariance route, and its source residual total is
-summed in closed form from the same moments.  A class with no anchored
-rows is fitted by fit_pca on its source rows, bit for bit as before; a
-class with fewer source rows than d is fitted on its stacked rows and
-never builds a d x d scatter."""
+alone, on fit_pca's covariance route, and compute its source residual
+total in closed form at refit, from the scatter the fit builds.  A class
+with no anchored rows is fitted by fit_pca on its source rows, bit for
+bit as before, and its residual is summed from the moments when first
+asked for; a class with fewer source rows than d is fitted on its
+stacked rows and never builds a d x d scatter."""
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -187,50 +189,50 @@ def compute_distances(model, X_t, _memo=None):
     The solver passes its refit memo as _memo, which holds the checked
     X_t centred once per fit, the distance matrix of its previous
     subspaces and the classes its last refit changed; only those columns
-    are recomputed, by the same GEMM, and checked finite (else NonFinite).
+    are recomputed, checked finite (else NonFinite) and written in place.
     """
     if _memo is None:
         X_t = check_matrix(X_t, "target features", width=model.feature_dim)
         centre, X_c, x_sq = _centred_rows(X_t)
-        classes, previous = range(model.num_classes), None
+        classes, dists = range(model.num_classes), None
     else:
         # before its first distances the memo has refitted every class
         centre, X_c, x_sq = _memo.centre, _memo.X_c, _memo.x_sq
-        classes, previous = _memo.refitted, _memo.dists
+        classes, dists = _memo.refitted, _memo.dists
     subspaces = [model.subspaces[k] for k in classes]
     n = len(subspaces)
     dims = [S.effective_dim for S in subspaces]
     # filled in place so the GEMM operand is C-ordered whatever the bases'
     # order, which keeps the products bitwise reproducible
     stacked = np.empty((X_c.shape[1], n + sum(dims)))
-    stacked[:, :n] = np.array([S.mean for S in subspaces]).T
-    stacked[:, n:] = np.hstack([S.basis for S in subspaces])
+    means, bases = stacked[:, :n], stacked[:, n:]
     # the centre comes from the rows, not the model, so it is fixed for a
     # fit and a class's column depends on that class alone: a class whose
     # subspace did not change keeps bitwise-equal distances, so a row whose
     # distance set the threshold is not anchored by rounding (anchoring is
     # the strict c < lam)
-    stacked[:, :n] -= centre[:, None]
-    means, bases = stacked[:, :n], stacked[:, n:]
+    np.subtract(np.array([S.mean for S in subspaces]).T, centre[:, None], out=means)
+    np.concatenate([S.basis for S in subspaces], axis=1, out=bases)
     owner = np.repeat(np.arange(n), dims)
 
-    G = X_c @ stacked
+    # worked class by row, so each elementwise step runs along the m rows;
+    # the class sums of squares stay one product, on an (m, r) C-ordered array
+    G = np.ascontiguousarray((X_c @ stacked).T)
     mu_sq = np.einsum("ij,ij->j", means, means)
-    proj = G[:, n:] - np.einsum("ij,ij->j", means[:, owner], bases)
-    in_class = np.eye(n)[owner]
-    scale = x_sq[:, None] + mu_sq
-    block = np.maximum(scale - 2.0 * G[:, :n] - (proj * proj) @ in_class, 0.0)
+    proj = G[n:] - np.einsum("ij,ij->j", means[:, owner], bases)[:, None]
+    scale = mu_sq[:, None] + x_sq
+    squares = np.ascontiguousarray((proj * proj).T)
+    block = np.maximum(scale - 2.0 * G[:n] - (squares @ np.eye(n)[owner]).T, 0.0)
 
     low = block <= EXACT_FALLBACK_REL * scale
-    for j in np.flatnonzero(low.any(axis=0)):
-        rows = np.flatnonzero(low[:, j])
-        block[rows, j] = residuals_sq(subspaces[j], X_t[rows])
+    for j in np.flatnonzero(low.any(axis=1)):
+        rows = np.flatnonzero(low[j])
+        block[j, rows] = residuals_sq(subspaces[j], X_t[rows])
     if _memo is not None:
         check_matrix(block, "distance matrix")
-    if previous is None:
-        return block
-    dists = previous.copy()
-    dists[:, classes] = block
+    if dists is None:
+        return np.ascontiguousarray(block.T)
+    dists[:, classes] = block.T
     return dists
 
 
@@ -258,7 +260,8 @@ def lambda_for_fraction(c, fraction):
     c = np.asarray(c, dtype=float)
     if c.size == 0:
         raise EmptyTarget("no target distances")
-    if not (0.0 <= fraction <= 1.0):
+    if (isinstance(fraction, bool) or not isinstance(fraction, numbers.Real)
+            or not 0.0 <= fraction <= 1.0):
         raise ConfigError("fraction must be in [0, 1], got %r" % (fraction,))
     # the 1e-9 guard absorbs float noise in fraction * m (e.g. 17 * 0.01 * 300)
     t = int(math.ceil(fraction * c.size - 1e-9))
@@ -302,15 +305,16 @@ class _ClassRefits:
     indices in {0..K-1}, (m,) anchors in {0, 1} and num_classes K, with m
     the rows of X_t (0 without it).  It holds the checked X_t and,
     for compute_distances, X_t centred on the mean of its rows with their
-    squared norms; each class's source rows; and, per class, the anchored
-    target row indices its current subspace was fitted on, that subspace,
-    its source residual total (computed when first asked for) and, for a
-    class with at least d source rows, its _SourceMoments (built when
-    first needed), from which refit and source_total work instead of the
-    class's source rows.  refitted lists the classes the last refit
-    fitted anew, and dists is the distance matrix of the current
-    subspaces once the solver has set it.  fixed_point is the state
-    inner_solve last returned, if a refit on it changed no class.
+    squared norms; each class's source rows; key, each target row's class
+    index if anchored and K if not, as of the last refit (class k's
+    subspace was fitted on the rows keyed k); and per class that subspace,
+    its source residual total (computed at refit from source moments, else
+    when first asked for) and, for a class with at least d source rows,
+    its _SourceMoments (built when first needed), which refit and
+    source_total use instead of its source rows.  refitted lists the
+    classes the last refit fitted anew, dists is the distance matrix of
+    the current subspaces once the solver has set it, and fixed_point the
+    state inner_solve last returned, if a refit on it changed no class.
     """
 
     def __init__(self, X_s, labels, X_t=None, state=None):
@@ -320,11 +324,12 @@ class _ClassRefits:
             X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
             self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
         self.X_t = X_t
+        self.m = 0 if X_t is None else X_t.shape[0]
         self.blocks = [X_s[labels.labels == k] for k in range(labels.num_classes)]
         K = len(self.blocks)
         if state is not None:
-            _check_state(state, 0 if X_t is None else X_t.shape[0], K)
-        self.anchored = [None] * K
+            _check_state(state, self.m, K)
+        self.key = None
         self.subspaces = [None] * K
         self.residuals = [None] * K
         self.moments = [None] * K
@@ -341,27 +346,26 @@ class _ClassRefits:
         by fit_pca on the stacked rows.  Sets refitted to the indices of
         the classes refitted."""
         K = len(self.blocks)
-        targets = classes = np.zeros(0, dtype=np.intp)
-        if state is not None:
-            targets = state.anchors.nonzero()[0]
-            classes = state.assigned[targets]
-        # a stable sort by class keeps each class's rows in row order
-        picked = targets[np.argsort(classes, kind="stable")]
-        ends = [0] + np.cumsum(np.bincount(classes, minlength=K)).tolist()
+        key = (np.full(self.m, K) if state is None
+               else np.where(state.anchors, state.assigned, K))
+        if self.key is None:
+            changed = range(K)
+        else:
+            # a row whose key moved changes the rows of both its classes
+            moved = (key != self.key).nonzero()[0]
+            changed = sorted({*key[moved].tolist(), *self.key[moved].tolist()} - {K})
+        self.key = key
         self.refitted = []
-        for k, block in enumerate(self.blocks):
-            rows_t = picked[ends[k]:ends[k + 1]]
-            old = self.anchored[k]
-            if old is not None and old.size == rows_t.size and (old == rows_t).all():
-                continue
-            moments = self._moments(k) if rows_t.size else None
+        for k in changed:
+            rows = (key == k).nonzero()[0]
+            moments = self._moments(k) if rows.size else None
             if moments is not None:
-                self.subspaces[k] = moments.fit(self.X_t[rows_t], dim)
+                self.subspaces[k], self.residuals[k] = moments.fit(self.X_t[rows], dim)
             else:
-                rows = np.vstack([block, self.X_t[rows_t]]) if rows_t.size else block
-                self.subspaces[k] = fit_pca(rows, dim=dim)
-            self.anchored[k] = rows_t
-            self.residuals[k] = None
+                block = self.blocks[k]
+                stacked = np.vstack([block, self.X_t[rows]]) if rows.size else block
+                self.subspaces[k] = fit_pca(stacked, dim=dim)
+                self.residuals[k] = None
             self.refitted.append(k)
         return list(self.subspaces)
 
@@ -410,22 +414,25 @@ class _SourceMoments:
         with d = m - mu.  Without the g terms a rounded m would leave an
         error of first order in d."""
         delta = self.mean - mu
-        gd = np.outer(self.first, delta)
-        return self.scatter + self.n * np.outer(delta, delta) + gd + gd.T
+        gd = self.first[:, None] * delta
+        return self.scatter + self.n * (delta[:, None] * delta) + gd + gd.T
 
     def fit(self, R, dim):
-        """fit_pca of the rows followed by the rows R, up to rounding, from
-        the moments and R alone, on fit_pca's covariance route."""
+        """(S, residual(S)) with S fit_pca of the rows followed by the rows
+        R, up to rounding, from the moments and R alone, on fit_pca's
+        covariance route; the scatter about S's mean serves both."""
         n = self.n + R.shape[0]
         mean = (self.n * self.mean + R.sum(axis=0)) / n
         Z = R - mean
-        return _covariance_fit(mean, (self.scatter_about(mean) + Z.T @ Z) / n, n, dim)
+        A = self.scatter_about(mean)
+        S = _covariance_fit(mean, (A + Z.T @ Z) / n, n, dim)
+        return S, self.residual(S, A)
 
-    def residual(self, S):
+    def residual(self, S, A=None):
         """The rows' residual total on S, tr(A) - tr(B'AB) clamped at 0, with
-        A their scatter about S's mean and B its basis: within about
-        d * eps * tr(A) of the sum of residuals_sq."""
-        A = self.scatter_about(S.mean)
+        A their scatter about S's mean (built when not given) and B its
+        basis: within about d * eps * tr(A) of the sum of residuals_sq."""
+        A = self.scatter_about(S.mean) if A is None else A
         return max(float(np.trace(A)) - float(np.einsum("ij,ij->", A @ S.basis, S.basis)),
                    0.0)
 
@@ -468,7 +475,9 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     state, history = warm_state, []
     fitted = state is not None and state is _refits.fixed_point
     for _ in range(config.inner_max_iters):
-        if not fitted:
+        if fitted:   # the fixed point's assignments, from the same distances
+            assigned, c = state.assigned, state.distances
+        else:
             model = fit_class_subspaces(X_s, labels, X_t, state, config,
                                         _refits=_refits)
             if _refits.refitted:
@@ -477,11 +486,10 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
                 history.append(history[-1])
                 fitted = True
                 break
-        dists = _refits.dists
-        assigned = dists.argmin(axis=1)
-        c = dists[np.arange(dists.shape[0]), assigned]   # the row minima
+            assigned = _refits.dists.argmin(axis=1)
+            c = _refits.dists[np.arange(assigned.size), assigned]   # the row minima
         v = anchor(c, lam)
-        state, fitted = AnchorState(assigned, v, lam, c, dists.shape[1]), False
+        state, fitted = AnchorState(assigned, v, lam, c, len(_refits.blocks)), False
         history.append(_objective_value(_refits.source_total(), c, v, lam))
         if len(history) >= 2:
             prev = history[-2]

@@ -34,6 +34,8 @@ MEAN_SEP_FRACTION = 0.9
 MEAN_DRAW_TRIES = 1000
 # labels are held as int64
 LABEL_MAX = np.iinfo(np.int64).max
+# str.strip() would also drop Unicode spaces
+ASCII_WHITESPACE = " \t\n\r\v\f"
 
 
 @dataclass
@@ -138,22 +140,32 @@ def save_features(path, X, fmt="csv"):
 
 
 def load_labels(path):
-    """Load raw integer labels, one per line; negatives are rejected."""
+    """Load raw integer labels, one per line.
+
+    A label is ASCII decimal digits with optional surrounding ASCII
+    whitespace.  A blank line, a leading "-" (a negative label) or a value
+    above LABEL_MAX raises RangeError; any other spelling (a sign "+", an
+    underscore, a non-ASCII digit) raises ParseError.
+    """
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
+            token = line.strip(ASCII_WHITESPACE)
             if not token:
                 raise RangeError("%s:%d: missing label" % (path, lineno))
-            try:
-                value = int(token)
-            except ValueError as exc:
-                raise ParseError("%s:%d: %s" % (path, lineno, exc)) from exc
-            if value < 0:
-                raise RangeError("%s:%d: negative label %d" % (path, lineno, value))
+            negative = token[0] == "-"
+            digits = token[1:] if negative else token
+            if not (digits.isascii() and digits.isdigit()):
+                raise ParseError("%s:%d: label %r is not ASCII decimal digits"
+                                 % (path, lineno, token))
+            if negative:
+                raise RangeError("%s:%d: negative label %s" % (path, lineno, token))
+            # LABEL_MAX has 19 digits, and int() refuses over 4,300
+            digits = digits.lstrip("0") or "0"
+            value = int(digits) if len(digits) <= 19 else LABEL_MAX + 1
             if value > LABEL_MAX:
-                raise RangeError("%s:%d: label %d above %d"
-                                 % (path, lineno, value, LABEL_MAX))
+                raise RangeError("%s:%d: label %s above %d"
+                                 % (path, lineno, digits, LABEL_MAX))
             out.append(value)
     if not out:
         raise RangeError("%s: no labels" % path)

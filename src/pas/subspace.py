@@ -6,6 +6,7 @@ set.  Its squared reconstruction residual doubles as the distance
 function used everywhere else in the package.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import EmptyFit, check_count, check_matrix
 
 # Eigenvalues below RANK_TOL * trace(covariance) are treated as zero rank.
 RANK_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def fit_pca(X, dim):
     A = np.sqrt(w)[:, None] * Y
     M = A @ A.T
     evals, evecs = _top_eigenpairs(M, min(dim, n))
-    d_eff = _kept_dim(evals, M, n, dim, d)
+    d_eff = _kept_dim(evals, M, mean, n, dim)
     # A'u / sqrt(eigenvalue) would be orthonormal only to about
     # eps * trace / eigenvalue (eps / RANK_TOL at the rank cutoff), so
     # one QR orthonormalizes the kept columns A'u instead
@@ -105,18 +107,27 @@ def _covariance_fit(mean, M, n, dim):
     """Subspace of `mean` and the top eigenpairs of the d x d covariance M
     of n rows (d <= n): fit_pca's covariance route after the covariance,
     which the solver also takes from moments it keeps."""
-    d = M.shape[0]
-    evals, evecs = _top_eigenpairs(M, min(dim, d))
-    d_eff = _kept_dim(evals, M, n, dim, d)
+    evals, evecs = _top_eigenpairs(M, min(dim, M.shape[0]))
+    d_eff = _kept_dim(evals, M, mean, n, dim)
     return _signed_subspace(mean, evecs[:, :d_eff].copy(), evals[:d_eff])
 
 
-def _kept_dim(evals, M, n, dim, d):
+def _kept_dim(evals, M, mean, n, dim):
     """The rank rule: how many of the top eigenvalues evals of the
-    covariance or Gram matrix M of n rows of width d a fit keeps."""
-    trace = float(np.trace(M))   # a sum of squares, so >= 0
-    rank = int((evals > RANK_TOL * trace).sum())
-    return min(dim, d, max(n - 1, 0), rank)
+    covariance or Gram matrix M of n rows with mean `mean` a fit keeps.
+
+    An eigenvalue counts above RANK_TOL * trace(M) and above the rounding
+    of the centring.  The computed mean is off by up to about
+    n * eps * |mean|, and the centred rows inherit that error, so the top
+    eigenvalue of rows that are all equal is its square: at most
+    0.08 * (n * eps * |mean|)^2 over 20,000 random cases of 2 to 30 equal
+    rows, on either route and from source moments."""
+    # trace is a sum of squares, so >= 0; hypot keeps |mean| finite for
+    # rows whose squared norm would overflow
+    noise = n * EPS * math.hypot(*mean.tolist())
+    floor = max(RANK_TOL * float(M.trace()), noise * noise)
+    rank = sum(value > floor for value in evals.tolist())
+    return min(dim, mean.shape[0], max(n - 1, 0), rank)
 
 
 def _signed_subspace(mean, basis, evals):

@@ -130,6 +130,21 @@ def test_fit_and_predict_reject_underscore_digits_exit_2(tmp_path):
     assert not os.path.exists(out) and not os.path.exists(new_model)
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_fit_rejects_non_ascii_digit_labels_exit_2(tmp_path, token):
+    # int() reads "1_0" as 10 and an Arabic-Indic one as 1
+    prefix = make_data(tmp_path)
+    lines = open(prefix + "_source_labels.csv").read().split("\n")
+    lines[2] = token
+    bad = str(tmp_path / "bad_labels.csv")
+    open(bad, "w", encoding="utf-8").write("\n".join(lines))
+    new_model = str(tmp_path / "m2.json")
+    assert main(["fit", "--source", prefix + "_source.csv", "--labels", bad,
+                 "--target", prefix + "_target.csv", "--out-model", new_model,
+                 "--trace-csv", str(tmp_path / "t2.csv")]) == 2
+    assert not os.path.exists(new_model)
+
+
 def test_label_count_mismatch_exit_2(tmp_path):
     # the library checks these counts; the commands rely on it
     prefix = make_data(tmp_path)

@@ -217,6 +217,13 @@ def test_lambda_fraction_outside_unit_interval(fraction):
         lambda_for_fraction(np.array([0.1, 0.2, 0.3]), fraction)
 
 
+@pytest.mark.parametrize("fraction", [True, np.True_, "0.5", None, [0.5]])
+def test_lambda_fraction_must_be_a_real_number(fraction):
+    # True once returned the fraction-1.0 threshold and "0.5" a TypeError
+    with pytest.raises(ConfigError, match="fraction must be in"):
+        lambda_for_fraction(np.array([0.1, 0.2, 0.3]), fraction)
+
+
 # --- objective --------------------------------------------------------------
 
 def test_objective_source_only_when_nothing_anchored():

@@ -163,6 +163,32 @@ def test_labels_non_integer_rejected(tmp_path):
         load_labels(str(p))
 
 
+@pytest.mark.parametrize("token, error", [
+    ("1_0", ParseError),          # int() reads it as 10
+    ("\u0661", ParseError),      # an Arabic-Indic one, which int() reads as 1
+    ("+5", ParseError),
+    ("1 2", ParseError),
+    ("-", ParseError),
+    ("\u30007", ParseError),     # an ideographic space is not ASCII whitespace
+    ("-3", RangeError),
+    ("-0", RangeError),
+])
+def test_labels_accept_only_ascii_digits(tmp_path, token, error):
+    p = tmp_path / "l.txt"
+    p.write_text("0\n%s\n" % token, encoding="utf-8")
+    with pytest.raises(error, match="l.txt:2"):
+        load_labels(str(p))
+
+
+def test_labels_allow_ascii_whitespace_and_leading_zeros(tmp_path):
+    p = tmp_path / "l.txt"
+    p.write_text(" 7\t\r\n007\n" + "0" * 5000 + "1\n")
+    assert load_labels(str(p)).tolist() == [7, 7, 1]
+    p.write_text("9" * 5000 + "\n")
+    with pytest.raises(RangeError, match="above"):
+        load_labels(str(p))
+
+
 def test_labels_beyond_int64_rejected(tmp_path):
     p = tmp_path / "l.txt"
     for big in (2**63, 99999999999999999999999):

@@ -363,8 +363,9 @@ def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
         Z[n_s:] += rng.normal(size=d)
     else:
         # 1 to dim + 1 directions, anchored rows on the same flat.  Not
-        # none: the covariance of equal rows is rounding noise, whose rank
-        # no fit can tell
+        # none: equal rows fit a point on both routes (see
+        # test_equal_rows_fit_a_point), but their residual totals are
+        # rounding noise, which assert_same_fit cannot compare
         k = int(rng.integers(1, min(dim + 1, d) + 1))
         Z = rng.normal(size=(n_s + r, k)) @ rng.normal(size=(k, d))
     X = scale * Z + offset * rng.normal(size=d)
@@ -380,6 +381,118 @@ def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
     Y = Xs - S.mean
     bound = 4 * d * np.finfo(float).eps * float((Y * Y).sum())
     assert abs(refits.source_total() - float(residuals_sq(S, Xs).sum())) <= bound
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 8),
+       magnitude=st.sampled_from([1e-3, 1.0, 0.8216181, 33333.33, 1e5]))
+def test_equal_rows_fit_a_point(seed, n, d, magnitude):
+    # the covariance of equal rows is the rounding of their mean, so both
+    # fit_pca (covariance or Gram route) and the moments refit fit a point
+    rng = np.random.default_rng(seed)
+    X = np.tile(magnitude * rng.uniform(-1.0, 1.0, size=d), (n, 1))
+    assert fit_pca(X, dim=d).effective_dim == 0
+    if n > d:
+        n_s = int(rng.integers(d, n))
+        labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
+        r = n - n_s
+        state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
+                            1.0, np.zeros(r), 1)
+        refits = core._ClassRefits(X[:n_s], labels, X[n_s:], state)
+        assert refits.refit(state, d)[0].effective_dim == 0
+        assert refits.moments[0] is not None
+
+
+@pytest.mark.parametrize("n, d", [(20, 3), (3, 8)])
+def test_huge_offset_rows_keep_their_spread(n, d):
+    # rows at 1e160 +- 1e150: |mean|^2 overflows, their covariance does
+    # not, so the rounding floor must not swallow the spread (covariance
+    # and Gram routes, and the moments refit)
+    rng = np.random.default_rng(0)
+    X = 1e160 * rng.uniform(-1.0, 1.0, size=d) + 1e150 * rng.normal(size=(n, d))
+    assert fit_pca(X, dim=d).effective_dim == min(n - 1, d)
+    if n > d:
+        n_s, r = n // 2, n - n // 2
+        labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
+        state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
+                            1.0, np.zeros(r), 1)
+        refits = core._ClassRefits(X[:n_s], labels, X[n_s:], state)
+        assert refits.refit(state, d)[0].effective_dim == d
+        assert refits.moments[0] is not None
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), K=st.integers(1, 4), d=st.integers(2, 6),
+       n_per=st.integers(2, 9), dim=st.integers(1, 3),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_residual_kept_at_refit_is_the_fresh_residual(seed, K, d, n_per, dim,
+                                                      fractions):
+    # over successive warm-started solves through one memo, the source
+    # residual a moments refit stores equals a fresh residual bit for bit,
+    # and objective() equals each solve's last history entry bit for bit
+    Xs, labels, Xt, _ = make_instance(seed, n_per=n_per, K=K, d=d, shift=1.5)
+    config = PasConfig(dim=dim)
+    refits = core._ClassRefits(Xs, labels, Xt)
+    refit, stored = refits.refit, []
+
+    def checked_refit(state, dim):
+        subspaces = refit(state, dim)
+        for k in refits.refitted:
+            if refits.residuals[k] is not None:
+                stored.append(k)
+                fresh = refits.moments[k].residual(refits.subspaces[k])
+                assert refits.residuals[k] == fresh
+        return subspaces
+
+    refits.refit = checked_refit
+    state, lam = None, 0.0
+    # the last solve anchors every row, so each class has anchored rows
+    for fraction in [0.0] + sorted(fractions) + [1.0]:
+        if state is not None:
+            lam = max(lam, lambda_for_fraction(state.distances, fraction))
+        model, state, history = inner_solve(Xs, labels, Xt, lam, state, config,
+                                            _refits=refits)
+        assert objective(model, Xs, labels, Xt, state) == history[-1]
+    # classes with n_per >= d source rows are refitted from moments
+    assert bool(stored) == (n_per >= d)
+
+
+@pytest.mark.parametrize("suite, moments_fits, first_residuals",
+                         [("closed", 429, 3), ("pda", 31, 6)])
+def test_scatter_built_once_per_moments_refit(monkeypatch, suite, moments_fits,
+                                              first_residuals):
+    # a moments refit builds its class's scatter once and takes the source
+    # residual from it; only the first residual of a source-only fit of a
+    # moments class builds one in source_total
+    source, target, labels, config = suite_pair(suite)
+    counts = {"fits": 0, "scatters": 0, "in_source_total": 0}
+    inside = []
+    fit, scatter_about = core._SourceMoments.fit, core._SourceMoments.scatter_about
+    source_total = core._ClassRefits.source_total
+
+    def counted_fit(self, *args):
+        counts["fits"] += 1
+        return fit(self, *args)
+
+    def counted_scatter(self, mu):
+        counts["scatters"] += 1
+        counts["in_source_total"] += bool(inside)
+        return scatter_about(self, mu)
+
+    def counted_total(self):
+        inside.append(True)
+        try:
+            return source_total(self)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(core._SourceMoments, "fit", counted_fit)
+    monkeypatch.setattr(core._SourceMoments, "scatter_about", counted_scatter)
+    monkeypatch.setattr(core._ClassRefits, "source_total", counted_total)
+    fit_progressive(source.features, labels, target.features, config)
+    assert counts == {"fits": moments_fits,
+                      "scatters": moments_fits + first_residuals,
+                      "in_source_total": first_residuals}
 
 
 def one_hot_rows(state):
@@ -411,12 +524,19 @@ def test_refit_picks_the_one_hot_rows(seed, K, m, share, moved):
     anchors[rows] = rng.integers(0, 2, size=rows.size)
     second = AnchorState(assigned, anchors, 1.0, np.zeros(m), K)
     refits = core._ClassRefits(Xs, labels, Xt, first)
+    previous = None
     for state in (first, second):
         refits.refit(state, 1)
         oracle = one_hot_rows(state)
-        assert len(refits.anchored) == len(oracle) == K
-        for got, expected in zip(refits.anchored, oracle):
-            assert np.array_equal(got, expected)
+        assert len(oracle) == K
+        for k, expected in enumerate(oracle):
+            assert np.array_equal(np.flatnonzero(refits.key == k), expected)
+        # the first refit fits every class, the second exactly those whose
+        # anchored rows changed
+        assert refits.refitted == [
+            k for k in range(K)
+            if previous is None or not np.array_equal(previous[k], oracle[k])]
+        previous = oracle
 
 
 def test_state_checked_once_per_public_call(monkeypatch):
