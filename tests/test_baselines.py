@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -6,6 +8,7 @@ import pas
 from pas import PasConfig, SourceLabels, nn1_classify, pas_c
 from pas.data import LabeledDataset, Shift, SynthConfig, synth_shifted_pair
 from pas.errors import DimensionMismatch, EmptySelection, NonFinite, RangeError
+from test_properties import nn1_case
 
 
 def labeled(features, labels):
@@ -20,9 +23,12 @@ def test_nn1_exact_match_gets_source_label():
 
 
 def test_nn1_single_source_sample():
+    # at 1e200 the target's squared norms overflow float64, which leaves
+    # the float32 screen no scale: its rows go on without a warning
     src = labeled([[1.0, 2.0]], [0])
-    out = nn1_classify(src, np.random.default_rng(0).normal(size=(6, 2)))
-    assert (out == 0).all()
+    for scale in (1.0, 1e200):
+        out = nn1_classify(src, np.random.default_rng(0).normal(size=(6, 2)) * scale)
+        assert (out == 0).all()
 
 
 def test_nn1_matches_pairwise_scan_oracle():
@@ -120,6 +126,74 @@ def test_nn1_near_ties_take_the_cdist_recheck(monkeypatch):
     got = nn1_classify(labeled(X_s, np.arange(60)), X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
     assert sum(rechecked) > 0
+
+
+def test_nn1_tiers_reached(monkeypatch):
+    # rows past the float32 screen (rescored in float64) and rows
+    # rechecked with cdist, counted where the tiers hand them on
+    screen, rescored, rechecked = pas.baselines._screen, [], []
+
+    def counting_screen(*args):
+        undecided = screen(*args)
+        rescored.append(undecided.size)
+        return undecided
+
+    def counting_cdist(XA, XB):
+        rechecked.append(XA.shape[0])
+        return cdist(XA, XB)
+
+    monkeypatch.setattr(pas.baselines, "_screen", counting_screen)
+    monkeypatch.setattr(pas.baselines, "cdist", counting_cdist)
+    # far targets: most rows reach float64, and some need cdist
+    X_s, X_t = nn1_case(0, "far", n=60, m=40, d=16)
+    got = nn1_classify(labeled(X_s, np.arange(X_s.shape[0])), X_t)
+    assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
+    assert rescored[0] > X_t.shape[0] // 2 and sum(rechecked) > 0
+    # serve-shaped inputs: under 1% of rows pass on to float64
+    rescored.clear()
+    cfg = SynthConfig(num_classes=10, dim=64, per_class=1000,
+                      shift=Shift(rotation=0.2, translation=2.5, noise=1.5), seed=0)
+    src, tgt = synth_shifted_pair(cfg)
+    nn1_classify(src, tgt.features)
+    assert rescored[0] < 0.01 * tgt.features.shape[0]
+
+
+def traced_peak(call):
+    """Bytes call() allocates at its peak, as tracemalloc sees numpy's."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("translation", [0.0, 1e9])
+def test_nn1_memory_is_one_float64_block(translation):
+    # targets 1e9 away send every row to the float64 tier, whose block
+    # buffer is allocated only after the float32 one is freed
+    m = n = 4096
+    d = 64
+    rng = np.random.default_rng(1)
+    src = labeled(rng.normal(size=(n, d)), np.arange(n) % 10)
+    X_t = rng.normal(size=(m, d)) + translation * rng.normal(size=d)
+    block = pas.baselines.NN1_CHUNK_ROWS * n * 8
+    assert traced_peak(lambda: nn1_classify(src, X_t)) <= block + 4 * n * d * 8
+
+
+def test_predict_memory_is_linear_in_rows():
+    # predict holds the centred rows and a few (m, K + R) products, R the
+    # basis columns of all classes, never an (m, K, d) or (m, n) array
+    m = n = 4096
+    d, K = 64, 10
+    rng = np.random.default_rng(2)
+    labels = SourceLabels(labels=np.arange(n) % K, num_classes=K)
+    model = pas.fit_class_subspaces(rng.normal(size=(n, d)), labels,
+                                    config=PasConfig(dim=2))
+    X_t = rng.normal(size=(m, d))
+    R = sum(S.effective_dim for S in model.subspaces)
+    peak = traced_peak(lambda: pas.predict(model, X_t))
+    assert peak <= 6 * m * (K + R) * 8 + m * d * 8
 
 
 def test_pas_c_equals_source_only_fit():

@@ -563,28 +563,50 @@ def test_state_checked_once_per_public_call(monkeypatch):
         assert len(calls) == 1
 
 
-@PROPERTY
-@given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["grid", "normal", "duplicates", "near"]),
-       n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 300),
-       offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
-       chunk=st.sampled_from([1, 7, 1024]))
-def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, chunk):
-    # integer grids tie exactly; duplicated source rows tie in every
-    # distance; targets within 1e-9 of a source row sit at the GEMM
-    # scores' rounding level, where only the cdist recheck can decide
+def nn1_case(seed, kind, n, m, d, offset=0.0, scale=1.0):
+    """Source and target rows for the 1NN oracles.
+
+    Integer grids tie exactly; duplicated source rows (every kind drawn
+    from normal rows but "normal") tie in every distance; targets within
+    1e-9 of a source row ("near") sit at the float64 scores' rounding
+    level, where only the cdist recheck can decide; targets translated by
+    1e6 to 1e14 along one direction ("far") leave the float32 screen no
+    margin, so most rows are rescored in float64 and some reach cdist,
+    and their norms differ by up to 1e8; a single source row
+    ("single") or n equal ones ("equal") put every source row on the
+    mean.  Both sides are then shifted by offset and scaled by scale."""
     rng = np.random.default_rng(seed)
     shift = offset * rng.normal(size=d)
     if kind == "grid":
         X_s = rng.integers(-2, 3, size=(n, d)).astype(float)
         X_t = rng.integers(-2, 3, size=(m, d)).astype(float)
+    elif kind in ("single", "equal"):
+        X_s = np.repeat(rng.normal(size=(1, d)), 1 if kind == "single" else n, axis=0)
+        X_t = rng.normal(size=(m, d))
     else:
         X_s = rng.normal(size=(n, d))
         if kind != "normal":
             X_s = np.vstack([X_s, X_s[rng.integers(0, n, size=n // 2 + 1)]])
         X_t = (X_s[rng.integers(0, X_s.shape[0], size=m)]
                + rng.normal(size=(m, d)) * (1e-9 if kind == "near" else 1e-3))
-    X_s, X_t = X_s + shift, X_t + shift
+        if kind == "far":
+            X_t += np.outer(10.0 ** rng.uniform(6, 14, size=m),
+                            rng.normal(size=d) / np.sqrt(d))
+    return (X_s + shift) * scale, (X_t + shift) * scale
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
+                             "single", "equal"]),
+       n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 300),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]),
+       chunk=st.sampled_from([1, 7, 1024]))
+def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, scale, chunk):
+    # scales of 1e-30 and 1e30 move the float32 screen's power-of-two
+    # scale far from 1, and tier-1 fails on any overflow warning
+    X_s, X_t = nn1_case(seed, kind, n, m, d, offset, scale)
     source = LabeledDataset(features=X_s, labels=np.arange(X_s.shape[0]),
                             num_classes=X_s.shape[0])
     with pytest.MonkeyPatch.context() as mp:
