@@ -24,15 +24,12 @@ that changes no class ends the inner loop, and the next stage starts
 from that fixed point unrefitted.  A state holds memberships as class
 indices, checked once when a fit starts.
 
-A class with at least d source rows keeps its source moments (count,
-mean and centred scatter) in the memo, built once per fit when first
-needed.  Its anchored refits use the moments plus the anchored rows
-alone, on fit_pca's covariance route, and compute its source residual
-total in closed form at refit, from the scatter the fit builds.  A class
-with no anchored rows is fitted by fit_pca on its source rows, bit for
-bit as before, and its residual is summed from the moments when first
-asked for; a class with fewer source rows than d is fitted on its
-stacked rows and never builds a d x d scatter."""
+Each class keeps one summary of its source rows, chosen once per fit by
+pas.subspace.source_summary: its moments (count, mean and centred
+scatter) when it has at least d source rows, else the rows themselves.
+Every refit of a class, with anchored rows or none, is one call of its
+summary's fit on the anchored rows, which returns the subspace and the
+class's source residual total, so the objective sums stored floats."""
 
 import json
 import math
@@ -44,7 +41,9 @@ import numpy as np
 from . import data
 from .errors import (ConfigError, DimensionMismatch, EmptyTarget, RangeError,
                      check_count, check_fraction, check_labels, check_matrix)
-from .subspace import Subspace, _covariance_fit, fit_pca, residuals_sq
+# fit_pca stays bound here: benchmarks/tracer.py looks up core.fit_pca when
+# tracing starts
+from .subspace import Subspace, fit_pca, residuals_sq, source_summary
 
 # The expanded residual loses about d * eps of ||x - c||^2 + ||mu_k - c||^2
 # to cancellation, so a cell above this fraction of that sum keeps a
@@ -282,15 +281,16 @@ def objective(model, X_s, labels, X_t, state):
     """Unified objective: source residuals + anchored target residuals - lam * #anchored.
 
     A fresh refit memo checks the inputs and state and sums the source
-    term over model's subspaces; residuals_sq rejects an X_s of another
-    width, and a model of another class count than labels raises
+    term over model's subspaces from its source summaries; a model of
+    another width than X_s or another class count than labels raises
     DimensionMismatch."""
     if model.num_classes != labels.num_classes:
         raise DimensionMismatch("model has %d classes, labels %d"
                                 % (model.num_classes, labels.num_classes))
     refits = _ClassRefits(X_s, labels, X_t, state)
-    refits.subspaces = list(model.subspaces)
     dists = compute_distances(model, refits.X_t)
+    refits.residuals = [source.residual(S)
+                        for source, S in zip(refits.sources, model.subspaces)]
     return _objective_value(refits.source_total(),
                             dists[np.arange(dists.shape[0]), state.assigned],
                             state.anchors, state.threshold)
@@ -303,49 +303,46 @@ class _ClassRefits:
     when given, X_t must be 2-D and finite with equal widths, labels must
     have one entry per source row, and a state must hold (m,) class
     indices in {0..K-1}, (m,) anchors in {0, 1} and num_classes K, with m
-    the rows of X_t (0 without it).  It holds the checked X_t and,
-    for compute_distances, X_t centred on the mean of its rows with their
-    squared norms; each class's source rows; key, each target row's class
-    index if anchored and K if not, as of the last refit (class k's
-    subspace was fitted on the rows keyed k); and per class that subspace,
-    its source residual total (computed at refit from source moments, else
-    when first asked for) and, for a class with at least d source rows,
-    its _SourceMoments (built when first needed), which refit and
-    source_total use instead of its source rows.  refitted lists the
-    classes the last refit fitted anew, dists is the distance matrix of
-    the current subspaces once the solver has set it, and fixed_point the
-    state inner_solve last returned, if a refit on it changed no class.
+    the rows of X_t (0 without it).  It holds the checked X_t (no rows
+    without it) and, for compute_distances, X_t centred on the mean of its
+    rows with their squared norms; sources, each class's source summary
+    (pas.subspace.source_summary), which stands in for its source rows;
+    key, each target row's class index if anchored and K if not, as of the
+    last refit (class k's subspace was fitted on the rows keyed k); and
+    per class that subspace and its source residual total, both returned
+    by the summary's fit at refit.  refitted lists the classes the last
+    refit fitted anew, dists is the distance matrix of the current
+    subspaces once the solver has set it, and fixed_point the state
+    inner_solve last returned, if a refit on it changed no class.
     """
 
     def __init__(self, X_s, labels, X_t=None, state=None):
         X_s = check_matrix(X_s, "source features")
         check_labels(labels.labels, X_s.shape[0], "source")
-        if X_t is not None:
-            X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
-            self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
-        self.X_t = X_t
-        self.m = 0 if X_t is None else X_t.shape[0]
-        self.blocks = [X_s[labels.labels == k] for k in range(labels.num_classes)]
-        K = len(self.blocks)
+        X_t = check_matrix(X_s[:0] if X_t is None else X_t, "target features",
+                           width=X_s.shape[1])
+        self.centre, self.X_c, self.x_sq = _centred_rows(X_t)
+        self.X_t, self.m = X_t, X_t.shape[0]
+        self.sources = [source_summary(X_s[labels.labels == k])
+                        for k in range(labels.num_classes)]
+        K = len(self.sources)
         if state is not None:
             _check_state(state, self.m, K)
         self.key = None
         self.subspaces = [None] * K
         self.residuals = [None] * K
-        self.moments = [None] * K
         self.refitted = []
         self.dists = None
         self.fixed_point = None
 
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
-        assigned to it with anchor indicator 1, in row order; a class whose
-        anchored rows equal those of its stored subspace keeps it.  A class
-        with no anchored rows is fitted by fit_pca on its source rows, one
-        with anchored rows from its source moments when it has them, else
-        by fit_pca on the stacked rows.  Sets refitted to the indices of
-        the classes refitted."""
-        K = len(self.blocks)
+        assigned to it with anchor indicator 1, in row order, by its source
+        summary's fit, keeping the class's source residual total with the
+        subspace; a class whose anchored rows equal those of its stored
+        subspace keeps both.  Sets refitted to the indices of the classes
+        refitted."""
+        K = len(self.sources)
         key = (np.full(self.m, K) if state is None
                else np.where(state.anchors, state.assigned, K))
         if self.key is None:
@@ -354,87 +351,19 @@ class _ClassRefits:
             # a row whose key moved changes the rows of both its classes
             moved = (key != self.key).nonzero()[0]
             changed = sorted({*key[moved].tolist(), *self.key[moved].tolist()} - {K})
-        self.key = key
-        self.refitted = []
-        for k in changed:
-            rows = (key == k).nonzero()[0]
-            moments = self._moments(k) if rows.size else None
-            if moments is not None:
-                self.subspaces[k], self.residuals[k] = moments.fit(self.X_t[rows], dim)
-            else:
-                block = self.blocks[k]
-                stacked = np.vstack([block, self.X_t[rows]]) if rows.size else block
-                self.subspaces[k] = fit_pca(stacked, dim=dim)
-                self.residuals[k] = None
-            self.refitted.append(k)
+        self.key, self.refitted = key, list(changed)
+        for k in self.refitted:
+            self.subspaces[k], self.residuals[k] = self.sources[k].fit(
+                self.X_t[key == k], dim)
         return list(self.subspaces)
 
     def source_total(self):
-        """Source residual total of the current subspaces, summed in class
-        order from 0.0; each class's term is residuals_sq summed over its
-        rows, or in closed form from its source moments when it has at
-        least d source rows."""
+        """Source residual total of the current subspaces: the classes'
+        stored totals, summed in class order from 0.0."""
         total = 0.0
-        for k, block in enumerate(self.blocks):
-            if self.residuals[k] is None:
-                moments = self._moments(k)
-                self.residuals[k] = (
-                    float(residuals_sq(self.subspaces[k], block).sum())
-                    if moments is None else moments.residual(self.subspaces[k]))
-            total += self.residuals[k]
+        for residual in self.residuals:
+            total += residual
         return total
-
-    def _moments(self, k):
-        """Class k's _SourceMoments, built when first asked for; None when
-        its source block has fewer rows than columns."""
-        block = self.blocks[k]
-        if block.shape[0] < block.shape[1]:
-            return None
-        if self.moments[k] is None:
-            self.moments[k] = _SourceMoments(block)
-        return self.moments[k]
-
-
-class _SourceMoments:
-    """Count n, mean m, first moment g = sum of (x - m) (zero but for
-    rounding) and centred scatter S of one class's source rows x, which
-    stand in for those rows in a refit and in their residual total."""
-
-    def __init__(self, block):
-        self.n = block.shape[0]
-        # fit_pca's mean, so on a subspace fitted on these rows alone
-        # residual() has m - mu = 0 exactly
-        self.mean = np.full(self.n, 1.0 / self.n) @ block
-        Y = block - self.mean
-        self.first = Y.sum(axis=0)
-        self.scatter = Y.T @ Y
-
-    def scatter_about(self, mu):
-        """The sum of (x - mu)(x - mu)' over the rows: S + n dd' + gd' + dg'
-        with d = m - mu.  Without the g terms a rounded m would leave an
-        error of first order in d."""
-        delta = self.mean - mu
-        gd = self.first[:, None] * delta
-        return self.scatter + self.n * (delta[:, None] * delta) + gd + gd.T
-
-    def fit(self, R, dim):
-        """(S, residual(S)) with S fit_pca of the rows followed by the rows
-        R, up to rounding, from the moments and R alone, on fit_pca's
-        covariance route; the scatter about S's mean serves both."""
-        n = self.n + R.shape[0]
-        mean = (self.n * self.mean + R.sum(axis=0)) / n
-        Z = R - mean
-        A = self.scatter_about(mean)
-        S = _covariance_fit(mean, (A + Z.T @ Z) / n, n, dim)
-        return S, self.residual(S, A)
-
-    def residual(self, S, A=None):
-        """The rows' residual total on S, tr(A) - tr(B'AB) clamped at 0, with
-        A their scatter about S's mean (built when not given) and B its
-        basis: within about d * eps * tr(A) of the sum of residuals_sq."""
-        A = self.scatter_about(S.mean) if A is None else A
-        return max(float(np.trace(A)) - float(np.einsum("ij,ij->", A @ S.basis, S.basis)),
-                   0.0)
 
 
 def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
@@ -444,7 +373,8 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     For class k the fitting set is the source rows labeled k followed by
     the target rows assigned to k with anchor indicator 1, in their
     original row order.  With no state (or nothing anchored) this is the
-    plain per-class source PCA.  The solver passes its per-fit memo as
+    plain per-class source PCA (up to rounding for a class with at least
+    d source rows, which is fitted from its moments).  The solver passes its per-fit memo as
     _refits, so only the classes whose anchored rows changed are refitted.
     """
     config = config or PasConfig()
@@ -489,7 +419,7 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
             assigned = _refits.dists.argmin(axis=1)
             c = _refits.dists[np.arange(assigned.size), assigned]   # the row minima
         v = anchor(c, lam)
-        state, fitted = AnchorState(assigned, v, lam, c, len(_refits.blocks)), False
+        state, fitted = AnchorState(assigned, v, lam, c, len(_refits.sources)), False
         history.append(_objective_value(_refits.source_total(), c, v, lam))
         if len(history) >= 2:
             prev = history[-2]

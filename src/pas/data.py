@@ -130,7 +130,8 @@ def save_features(path, X, fmt="csv"):
     """Write a feature matrix; CSV floats use repr so values round-trip exactly."""
     X = np.asarray(X, dtype=float)
     if fmt == "csv":
-        lines = [",".join(repr(float(v)) for v in row) for row in X]
+        # one row's Python floats at a time: X.tolist() would hold them all
+        lines = [",".join(map(repr, row.tolist())) for row in X]
         atomic_write_text(path, "\n".join(lines) + "\n")
     elif fmt == "bin":
         header = struct.pack("<4sII", b"PASM", X.shape[0], X.shape[1])

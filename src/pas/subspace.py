@@ -3,7 +3,8 @@
 A fitted subspace is an affine model: a sample mean plus an orthonormal
 basis of the top principal directions of the mean-centered fitting
 set.  Its squared reconstruction residual doubles as the distance
-function used everywhere else in the package.
+function used everywhere else in the package.  source_summary is the
+one place that decides how a fit refits a class from its source rows.
 """
 
 import math
@@ -106,10 +107,75 @@ def fit_pca(X, dim):
 def _covariance_fit(mean, M, n, dim):
     """Subspace of `mean` and the top eigenpairs of the d x d covariance M
     of n rows (d <= n): fit_pca's covariance route after the covariance,
-    which the solver also takes from moments it keeps."""
+    which _SourceMoments.fit also takes."""
     evals, evecs = _top_eigenpairs(M, min(dim, M.shape[0]))
     d_eff = _kept_dim(evals, M, mean, n, dim)
     return _signed_subspace(mean, evecs[:, :d_eff].copy(), evals[:d_eff])
+
+
+def source_summary(X):
+    """What a fit keeps of one class's source rows X (n rows, d columns)
+    in place of X: its _SourceMoments when n >= d, else _SourceRows.  Both
+    have fit(R, dim), the subspace of X followed by the rows R (none
+    included) with X's residual total on it, and residual(S), that total
+    on any subspace S."""
+    return _SourceMoments(X) if X.shape[0] >= X.shape[1] else _SourceRows(X)
+
+
+class _SourceMoments:
+    """Count n, mean m, first moment g = sum of (x - m) (zero but for
+    rounding) and centred scatter S of the source rows x."""
+
+    def __init__(self, X):
+        self.n = X.shape[0]
+        # fit_pca's mean, so on fit_pca's subspace of these rows alone
+        # residual() has m - mu = 0 exactly
+        self.mean = np.full(self.n, 1.0 / self.n) @ X
+        Y = X - self.mean
+        self.first = Y.sum(axis=0)
+        self.scatter = Y.T @ Y
+
+    def scatter_about(self, mu):
+        """The sum of (x - mu)(x - mu)' over the rows: S + n dd' + gd' + dg'
+        with d = m - mu.  Without the g terms a rounded m would leave an
+        error of first order in d."""
+        delta = self.mean - mu
+        gd = self.first[:, None] * delta
+        return self.scatter + self.n * (delta[:, None] * delta) + gd + gd.T
+
+    def fit(self, R, dim):
+        """fit_pca of the rows followed by R, up to rounding, on its
+        covariance route from the moments and R alone; the scatter about
+        the new mean serves both the fit and the residual."""
+        n = self.n + R.shape[0]
+        mean = (self.n * self.mean + R.sum(axis=0)) / n
+        Z = R - mean
+        A = self.scatter_about(mean)
+        S = _covariance_fit(mean, (A + Z.T @ Z) / n, n, dim)
+        return S, self.residual(S, A)
+
+    def residual(self, S, A=None):
+        """tr(A) - tr(B'AB) clamped at 0, with A the rows' scatter about S's
+        mean (built when not given) and B its basis: within about
+        d * eps * tr(A) of the sum of residuals_sq."""
+        A = self.scatter_about(S.mean) if A is None else A
+        return max(float(np.trace(A)) - float(np.einsum("ij,ij->", A @ S.basis, S.basis)),
+                   0.0)
+
+
+class _SourceRows:
+    """The source rows themselves, for fewer rows than columns, where a d x d
+    scatter would outgrow them: a refit is fit_pca of the stacked rows."""
+
+    def __init__(self, X):
+        self.rows = X
+
+    def fit(self, R, dim):
+        S = fit_pca(np.vstack([self.rows, R]), dim)
+        return S, self.residual(S)
+
+    def residual(self, S):
+        return float(residuals_sq(S, self.rows).sum())
 
 
 def _kept_dim(evals, M, mean, n, dim):

@@ -196,6 +196,25 @@ def test_predict_memory_is_linear_in_rows():
     assert peak <= 6 * m * (K + R) * 8 + m * d * 8
 
 
+def test_fit_progressive_memory_is_linear_in_rows():
+    # a fit holds (rows, d) and (m, K) arrays and each class's d x d source
+    # moments, never an (m, n) one: doubling m and n together about doubles
+    # its peak, where an (m, n) array would quadruple it
+    d, K = 64, 4
+    peaks = []
+    for per_class in (512, 1024):
+        source, target = synth_shifted_pair(SynthConfig(
+            num_classes=K, dim=d, per_class=per_class,
+            shift=Shift(rotation=0.2, translation=2.5, noise=1.5), seed=3))
+        labels = SourceLabels(labels=source.labels, num_classes=K)
+        peaks.append(traced_peak(lambda: pas.fit_progressive(
+            source.features, labels, target.features,
+            PasConfig(dim=2, schedule_step=0.25))))
+        rows = source.features.shape[0] + target.features.shape[0]
+        assert peaks[-1] <= 2 * rows * d * 8
+    assert peaks[1] <= 2.5 * peaks[0]
+
+
 def test_pas_c_equals_source_only_fit():
     cfg = SynthConfig(num_classes=3, dim=6, per_class=20,
                       shift=Shift(rotation=0.4, translation=1.0, noise=0.5), seed=3)

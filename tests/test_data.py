@@ -96,6 +96,19 @@ def test_csv_round_trip_exact(tmp_path):
     assert (load_features(str(p)) == X).all()
 
 
+def test_csv_cells_match_per_value_repr(tmp_path):
+    # the per-value repr(float(v)) save_features once wrote is the oracle
+    # for its bytes, on the values whose repr is easiest to get wrong
+    tiny = np.finfo(float).tiny
+    X = np.array([[-0.0, 0.0, tiny / 4, -tiny, np.finfo(float).max],
+                  [np.nan, np.inf, -np.inf, 1e-300, 0.1],
+                  [1.0, -2.5e16, 123456789.125, 5e-324, 1 / 3]])
+    p = tmp_path / "f.csv"
+    save_features(str(p), X)
+    lines = [",".join(repr(float(v)) for v in row) for row in X]
+    assert p.read_text() == "\n".join(lines) + "\n"
+
+
 def test_binary_round_trip_bitwise(tmp_path):
     X = np.random.default_rng(1).normal(size=(13, 6))
     p = tmp_path / "f.pasm"

@@ -37,7 +37,7 @@ from pas import (
     residuals_sq,
     synth_shifted_pair,
 )
-from pas import baselines, core
+from pas import baselines, core, subspace
 from pas.cli import SUITES
 from pas.core import StageRecord, model_from_dict, model_to_dict
 from pas.data import LabeledDataset
@@ -297,23 +297,24 @@ def test_fit_matches_full_refit_oracle(seed, K, d, dim, keep, step, max_iters):
 
 def test_absent_classes_are_fitted_once(monkeypatch):
     # on a partial-DA fit no target row is ever anchored to a class the
-    # target lacks, so its subspace is the source PCA fitted at the start
+    # target lacks, so its subspace is the source PCA fitted at the start:
+    # each absent class is refitted once, on no target row
     source, target, labels, config = suite_pair("pda")
     absent = sorted(set(range(labels.num_classes))
                     - set(SUITES["pda"]["pda_keep"]))
-    blocks = {k: source.features[labels.labels == k] for k in absent}
-    fits = {k: 0 for k in absent}
+    fits = {k: [] for k in absent}
+    refit = core._ClassRefits.refit
 
-    def counted(rows, dim):
-        for k, block in blocks.items():
-            if np.array_equal(rows[:len(block)], block):
-                fits[k] += 1
-        return fit_pca(rows, dim)
+    def counted(self, *args):
+        subspaces = refit(self, *args)
+        for k in set(absent) & set(self.refitted):
+            fits[k].append(int((self.key == k).sum()))
+        return subspaces
 
-    monkeypatch.setattr(core, "fit_pca", counted)
+    monkeypatch.setattr(core._ClassRefits, "refit", counted)
     _, trace = fit_progressive(source.features, labels, target.features, config)
     assert len(trace) == 101
-    assert fits == {k: 1 for k in absent}
+    assert fits == {k: [0] for k in absent}
 
 
 @pytest.mark.parametrize("suite, class_refits, distance_calls",
@@ -346,18 +347,20 @@ def test_suite_fit_work_counts(monkeypatch, suite, class_refits, distance_calls)
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24),
-       extra=st.integers(0, 20), r=st.integers(1, 20), dim=st.integers(1, 6),
+       extra=st.integers(-23, 20), r=st.integers(0, 20), dim=st.integers(1, 6),
        kind=st.sampled_from(["normal", "low_rank"]),
        offset=st.sampled_from([0.0, 1.0, 1e2, 1e5]),
        scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
                                                offset, scale):
-    # a class with n_s >= d source rows (n_s == d when extra is 0) and r
-    # anchored rows is refitted from its source moments: fit_pca's fit of
-    # the stacked rows up to rounding, and its source residual total in
-    # closed form within 4 d eps tr(A) of the per-row sum
+    # a class with n_s source rows and r anchored rows (none included) is
+    # refitted from its source summary: from its moments when n_s >= d
+    # (n_s == d when extra is 0), fit_pca's fit of the stacked rows up to
+    # rounding with its source residual total in closed form within
+    # 4 d eps tr(A) of the per-row sum; from its rows otherwise, that fit
+    # and that sum bit for bit
     rng = np.random.default_rng(seed)
-    n_s = d + extra
+    n_s = max(d + extra, 1)
     if kind == "normal":
         Z = rng.normal(size=(n_s + r, d)) * rng.uniform(0.1, 3.0, size=d)
         Z[n_s:] += rng.normal(size=d)
@@ -375,12 +378,17 @@ def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
                         1.0, np.zeros(r), 1)
     refits = core._ClassRefits(Xs, labels, R, state)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(core, "fit_pca", None)   # a stacked fit fails
+        if n_s >= d:
+            monkeypatch.setattr(subspace, "fit_pca", None)   # a stacked fit fails
         S = refits.refit(state, dim)[0]
-    assert_same_fit(S, fit_pca(X, dim), X)
+    O = fit_pca(X, dim)
+    assert_same_fit(S, O, X)
     Y = Xs - S.mean
-    bound = 4 * d * np.finfo(float).eps * float((Y * Y).sum())
+    bound = 0.0 if n_s < d else 4 * d * np.finfo(float).eps * float((Y * Y).sum())
     assert abs(refits.source_total() - float(residuals_sq(S, Xs).sum())) <= bound
+    if n_s < d:
+        assert S.mean.tobytes() == O.mean.tobytes()
+        assert S.basis.tobytes() == O.basis.tobytes()
 
 
 @PROPERTY
@@ -388,37 +396,38 @@ def test_moments_refit_matches_stacked_fit_pca(seed, d, extra, r, dim, kind,
        magnitude=st.sampled_from([1e-3, 1.0, 0.8216181, 33333.33, 1e5]))
 def test_equal_rows_fit_a_point(seed, n, d, magnitude):
     # the covariance of equal rows is the rounding of their mean, so both
-    # fit_pca (covariance or Gram route) and the moments refit fit a point
+    # fit_pca (covariance or Gram route) and a refit from either source
+    # summary fit a point
     rng = np.random.default_rng(seed)
     X = np.tile(magnitude * rng.uniform(-1.0, 1.0, size=d), (n, 1))
     assert fit_pca(X, dim=d).effective_dim == 0
-    if n > d:
-        n_s = int(rng.integers(d, n))
+    if n > 1:
+        # moments when n > d, as n_s >= d then; rows otherwise
+        n_s = int(rng.integers(d, n)) if n > d else int(rng.integers(1, n))
         labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
         r = n - n_s
         state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
                             1.0, np.zeros(r), 1)
         refits = core._ClassRefits(X[:n_s], labels, X[n_s:], state)
         assert refits.refit(state, d)[0].effective_dim == 0
-        assert refits.moments[0] is not None
+        assert isinstance(refits.sources[0], subspace._SourceMoments) == (n_s >= d)
 
 
 @pytest.mark.parametrize("n, d", [(20, 3), (3, 8)])
 def test_huge_offset_rows_keep_their_spread(n, d):
     # rows at 1e160 +- 1e150: |mean|^2 overflows, their covariance does
     # not, so the rounding floor must not swallow the spread (covariance
-    # and Gram routes, and the moments refit)
+    # and Gram routes, and a refit from either source summary)
     rng = np.random.default_rng(0)
     X = 1e160 * rng.uniform(-1.0, 1.0, size=d) + 1e150 * rng.normal(size=(n, d))
     assert fit_pca(X, dim=d).effective_dim == min(n - 1, d)
-    if n > d:
-        n_s, r = n // 2, n - n // 2
-        labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
-        state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
-                            1.0, np.zeros(r), 1)
-        refits = core._ClassRefits(X[:n_s], labels, X[n_s:], state)
-        assert refits.refit(state, d)[0].effective_dim == d
-        assert refits.moments[0] is not None
+    n_s, r = n // 2, n - n // 2
+    labels = SourceLabels(labels=np.zeros(n_s, dtype=np.int64), num_classes=1)
+    state = AnchorState(np.zeros(r, dtype=np.int64), np.ones(r, dtype=np.int64),
+                        1.0, np.zeros(r), 1)
+    refits = core._ClassRefits(X[:n_s], labels, X[n_s:], state)
+    assert refits.refit(state, d)[0].effective_dim == min(n - 1, d)
+    assert isinstance(refits.sources[0], subspace._SourceMoments) == (n_s >= d)
 
 
 @PROPERTY
@@ -428,20 +437,20 @@ def test_huge_offset_rows_keep_their_spread(n, d):
 def test_residual_kept_at_refit_is_the_fresh_residual(seed, K, d, n_per, dim,
                                                       fractions):
     # over successive warm-started solves through one memo, the source
-    # residual a moments refit stores equals a fresh residual bit for bit,
-    # and objective() equals each solve's last history entry bit for bit
+    # residual every refit stores equals a fresh residual from its class's
+    # source summary bit for bit, and objective() equals each solve's last
+    # history entry bit for bit
     Xs, labels, Xt, _ = make_instance(seed, n_per=n_per, K=K, d=d, shift=1.5)
     config = PasConfig(dim=dim)
     refits = core._ClassRefits(Xs, labels, Xt)
-    refit, stored = refits.refit, []
+    refit, stored = refits.refit, set()
 
     def checked_refit(state, dim):
         subspaces = refit(state, dim)
         for k in refits.refitted:
-            if refits.residuals[k] is not None:
-                stored.append(k)
-                fresh = refits.moments[k].residual(refits.subspaces[k])
-                assert refits.residuals[k] == fresh
+            stored.add(type(refits.sources[k]))
+            fresh = refits.sources[k].residual(refits.subspaces[k])
+            assert refits.residuals[k] == fresh
         return subspaces
 
     refits.refit = checked_refit
@@ -454,20 +463,20 @@ def test_residual_kept_at_refit_is_the_fresh_residual(seed, K, d, n_per, dim,
                                             _refits=refits)
         assert objective(model, Xs, labels, Xt, state) == history[-1]
     # classes with n_per >= d source rows are refitted from moments
-    assert bool(stored) == (n_per >= d)
+    assert stored == {subspace._SourceMoments if n_per >= d else subspace._SourceRows}
 
 
-@pytest.mark.parametrize("suite, moments_fits, first_residuals",
-                         [("closed", 429, 3), ("pda", 31, 6)])
-def test_scatter_built_once_per_moments_refit(monkeypatch, suite, moments_fits,
-                                              first_residuals):
-    # a moments refit builds its class's scatter once and takes the source
-    # residual from it; only the first residual of a source-only fit of a
-    # moments class builds one in source_total
+@pytest.mark.parametrize("suite, moments_fits", [("closed", 432), ("pda", 37)])
+def test_scatter_built_once_per_moments_refit(monkeypatch, suite, moments_fits):
+    # every class of both suites has at least d source rows, so each of the
+    # class refits test_suite_fit_work_counts counts, source-only ones
+    # included, is a moments refit; it builds its class's scatter once and
+    # takes the source residual from it, and source_total builds none
     source, target, labels, config = suite_pair(suite)
     counts = {"fits": 0, "scatters": 0, "in_source_total": 0}
     inside = []
-    fit, scatter_about = core._SourceMoments.fit, core._SourceMoments.scatter_about
+    moments = subspace._SourceMoments
+    fit, scatter_about = moments.fit, moments.scatter_about
     source_total = core._ClassRefits.source_total
 
     def counted_fit(self, *args):
@@ -486,13 +495,12 @@ def test_scatter_built_once_per_moments_refit(monkeypatch, suite, moments_fits,
         finally:
             inside.pop()
 
-    monkeypatch.setattr(core._SourceMoments, "fit", counted_fit)
-    monkeypatch.setattr(core._SourceMoments, "scatter_about", counted_scatter)
+    monkeypatch.setattr(moments, "fit", counted_fit)
+    monkeypatch.setattr(moments, "scatter_about", counted_scatter)
     monkeypatch.setattr(core._ClassRefits, "source_total", counted_total)
     fit_progressive(source.features, labels, target.features, config)
-    assert counts == {"fits": moments_fits,
-                      "scatters": moments_fits + first_residuals,
-                      "in_source_total": first_residuals}
+    assert counts == {"fits": moments_fits, "scatters": moments_fits,
+                      "in_source_total": 0}
 
 
 def one_hot_rows(state):
