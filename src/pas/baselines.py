@@ -66,15 +66,16 @@ def _best_two(score):
     return best, best_score.astype(float), runner_up.astype(float)
 
 
-def _screen(X_t, mu, S, s_sq, R, nearest):
-    """Tier 1: float32 scores of every target row, one block at a time.
+def _screen(X_t, mu, k0, S, s_sq, R, nearest):
+    """Tier 1: float32 scores of every target row, one block at a time, from
+    the source rows S and bounds R already scaled by 2^k0.
 
     Sets nearest to each row's float32 best and returns, in increasing
     order, the rows whose runner-up lies within the float32 tie bound."""
     n, d = S.shape
     m = X_t.shape[0]
     if not np.isfinite(R.max()):
-        # squared norms beyond float64's range: no scale fits, all go on
+        # centring overflowed float64: no scale fits, all go on
         return np.arange(m)
     eps, tiny = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).tiny)
     k = 60 - int(np.frexp(R.max())[1])
@@ -87,7 +88,7 @@ def _screen(X_t, mu, S, s_sq, R, nearest):
     for start in range(0, m, NN1_CHUNK_ROWS):
         rows = slice(start, start + NN1_CHUNK_ROWS)
         b = min(NN1_CHUNK_ROWS, m - start)
-        T1[:b, :d] = np.ldexp(mu - X_t[rows], k + 1)
+        T1[:b, :d] = np.ldexp(mu - X_t[rows], k0 + k + 1)
         np.matmul(T1[:b], S1.T, out=scores[:b])
         best, best_score, runner_up = _best_two(scores[:b])
         Rk = np.ldexp(R[rows], k)
@@ -101,9 +102,13 @@ def nn1_classify(source, X_t):
     """Label each target row with the label of its Euclidean-nearest source row.
 
     The nearest indices equal argmin(cdist(X_t, X_s), axis=1), ties to the
-    lowest source index, at any BLAS thread count.  Every source row is
-    scored by ||s - mu||^2 - 2 (t - mu)'(s - mu), mu the source mean, in
-    three tiers, each exact:
+    lowest source index, at any BLAS thread count, on the rows scaled by
+    the power of two that puts their largest magnitude in [0.5, 1): that is
+    cdist itself wherever its squares neither underflow nor overflow, and
+    scaling both inputs by a power of two leaves the labels as they are.
+    Every source row is scored by ||s - mu||^2 - 2 (t - mu)'(s - mu), mu
+    the source mean, on centred rows scaled likewise, in three tiers, each
+    exact:
 
     1. each block of NN1_CHUNK_ROWS target rows is scored by one float32
        GEMM, on rows scaled by a power of two into float32 range, into a
@@ -130,31 +135,41 @@ def nn1_classify(source, X_t):
     if m == 0:
         return labels[nearest]
     mu = X_s.sum(axis=0) / n
+    # the float64 tier works on centred rows scaled by 2^k, exact, that puts
+    # their largest entry in [0.5, 1), so no square under- or overflows; the
+    # recheck scales the raw rows the same way by 2^k_raw.  fl(x - mu) is
+    # monotone in x, so the column extremes give the largest centred entry.
+    hi = np.maximum(X_s.max(axis=0), X_t.max(axis=0))
+    lo = np.minimum(X_s.min(axis=0), X_t.min(axis=0))
+    k = -int(np.frexp(max((hi - mu).max(), (mu - lo).max()))[1])
+    k_raw = -int(np.frexp(max(hi.max(), -lo.min()))[1])
     S = X_s - mu
+    np.ldexp(S, k, out=S)
     s_sq = np.einsum("ij,ij->i", S, S)
     s_norm_max = np.sqrt(s_sq.max())
     # R bounds every distance from t (NN1_TIE_REL); its largest value sets
     # the screen's scale, so it is taken before any row is scored
     R = np.empty(m)
     for start in range(0, m, NN1_CHUNK_ROWS):
-        T = X_t[start:start + NN1_CHUNK_ROWS] - mu
+        T = np.ldexp(X_t[start:start + NN1_CHUNK_ROWS] - mu, k)
         R[start:start + T.shape[0]] = np.sqrt(np.einsum("ij,ij->i", T, T)) + s_norm_max
-    undecided = _screen(X_t, mu, S, s_sq, R, nearest)
+    undecided = _screen(X_t, mu, k, S, s_sq, R, nearest)
     tie_scale = NN1_TIE_REL * (d + 4) * np.finfo(float).eps
     scores = np.empty((min(NN1_CHUNK_ROWS, undecided.size), n))
     for start in range(0, undecided.size, NN1_CHUNK_ROWS):
         rows = undecided[start:start + NN1_CHUNK_ROWS]
-        T = X_t[rows] - mu
         score = scores[:rows.size]
-        # scaling by -2 is exact, so the product is -2 t's as computed
-        np.matmul(-2.0 * T, S.T, out=score)
+        # mu - t = -(t - mu) and the scaling by 2^(k + 1) are exact, so
+        # the product is -2 t's as computed
+        np.matmul(np.ldexp(mu - X_t[rows], k + 1), S.T, out=score)
         score += s_sq
         best, best_score, runner_up = _best_two(score)
         tau = tie_scale * R[rows] ** 2
         # written as "not beyond" so that a NaN from overflow is rechecked
         for j in np.flatnonzero(~(runner_up - best_score > tau)):
             cand = np.flatnonzero(~(score[j] > best_score[j] + tau[j]))
-            dist = cdist(X_t[rows[j]:rows[j] + 1], X_s[cand])[0]
+            dist = cdist(np.ldexp(X_t[rows[j]:rows[j] + 1], k_raw),
+                         np.ldexp(X_s[cand], k_raw))[0]
             best[j] = cand[np.argmin(dist)]
         nearest[rows] = best
     return labels[nearest]

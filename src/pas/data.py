@@ -14,6 +14,7 @@ points paired makes the zero-shift case exactly class-mean preserving.
 """
 
 import contextlib
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,6 +33,9 @@ MEAN_SCALE = 2.0
 # expected pairwise distance, so no seed starts with two classes merged
 MEAN_SEP_FRACTION = 0.9
 MEAN_DRAW_TRIES = 1000
+# rows per block a feature file is written in: a save holds one block's
+# text or bytes beside the matrix, not the whole file's
+IO_BLOCK_ROWS = 1024
 # labels are held as int64
 LABEL_MAX = np.iinfo(np.int64).max
 # str.strip() would also drop Unicode spaces
@@ -101,43 +105,67 @@ def load_features(path):
     """
     with open(path, "rb") as fh:
         binary = fh.read(4) == b"PASM"
-        blob = b"PASM" + fh.read() if binary else None
-    if binary:
-        if len(blob) < 12:
-            raise ParseError("%s: PASM header shorter than 12 bytes" % path)
-        n, d = struct.unpack("<II", blob[4:12])
-        expected = 12 + n * d * 8
-        if len(blob) != expected:
-            raise ParseError("%s: expected %d bytes, got %d"
-                             % (path, expected, len(blob)))
-        if n * d == 0:
-            raise ParseError("%s: no rows" % path)
-        X = np.frombuffer(blob[12:], dtype="<f8").reshape(n, d).copy()
-    else:
+        if binary:
+            X = _read_pasm(fh, path)
+    if not binary:
         with open(path) as fh:
-            lines = [line for line in fh if line.strip()]
-        if not lines:
-            raise ParseError("%s: no rows" % path)
-        try:
-            X = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                           dtype=float)
-        except ValueError as exc:
-            raise ParseError("%s: %s" % (path, exc)) from exc
+            lines = (line for line in fh if line.strip())
+            # a file that does not decode raises a ValueError from either read
+            try:
+                # loadtxt warns on an input with no rows; this error says so
+                first = next(lines, None)
+                if first is None:
+                    raise ParseError("%s: no rows" % path)
+                X = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                               ndmin=2, comments=None, dtype=float)
+            except ValueError as exc:
+                raise ParseError("%s: %s" % (path, exc)) from exc
     return check_matrix(X, path)
 
 
+def _read_pasm(fh, path):
+    """The n x d matrix of a PASM file whose magic fh has just read, read
+    straight into the result after the size is checked against the file's."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 12:
+        raise ParseError("%s: PASM header shorter than 12 bytes" % path)
+    n, d = struct.unpack("<II", fh.read(8))
+    expected = 12 + n * d * 8
+    if size != expected:
+        raise ParseError("%s: expected %d bytes, got %d" % (path, expected, size))
+    if n * d == 0:
+        raise ParseError("%s: no rows" % path)
+    X = np.empty((n, d), dtype="<f8")
+    got = fh.readinto(X)
+    if got != X.nbytes:
+        # the file shrank after fstat
+        raise ParseError("%s: expected %d bytes, got %d" % (path, expected, 12 + got))
+    return X
+
+
 def save_features(path, X, fmt="csv"):
-    """Write a feature matrix; CSV floats use repr so values round-trip exactly."""
+    """Write a feature matrix, IO_BLOCK_ROWS rows at a time; CSV floats use
+    repr so values round-trip exactly."""
     X = np.asarray(X, dtype=float)
     if fmt == "csv":
-        # one row's Python floats at a time: X.tolist() would hold them all
-        lines = [",".join(map(repr, row.tolist())) for row in X]
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        blocks = _csv_blocks(X)
     elif fmt == "bin":
         header = struct.pack("<4sII", b"PASM", X.shape[0], X.shape[1])
-        atomic_write_bytes(path, header + X.astype("<f8").tobytes(order="C"))
+        blocks = itertools.chain([header], (
+            np.ascontiguousarray(X[start:start + IO_BLOCK_ROWS], dtype="<f8")
+            for start in range(0, X.shape[0], IO_BLOCK_ROWS)))
     else:
         raise ConfigError("unknown feature format %r" % (fmt,))
+    atomic_write_bytes(path, blocks)
+
+
+def _csv_blocks(X):
+    """The CSV text of X, encoded one block of rows at a time, each row's
+    Python floats made one row at a time; zero rows give the one "\n"."""
+    for start in range(0, max(X.shape[0], 1), IO_BLOCK_ROWS):
+        lines = [",".join(map(repr, row.tolist()))
+                 for row in X[start:start + IO_BLOCK_ROWS]]
+        yield ("\n".join(lines) + "\n").encode()
 
 
 def load_labels(path):
@@ -280,16 +308,18 @@ def synth_shifted_pair(cfg):
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode())
+    atomic_write_bytes(path, [text.encode()])
 
 
-def atomic_write_bytes(path, data):
-    """Write via a temp file and a rename; on any failure the temp file is
-    removed and path is left as it was."""
+def atomic_write_bytes(path, blocks):
+    """Write the bytes-like blocks, in order, to a temp file, then rename it
+    to path; on any failure, a block source's own included, the temp file
+    is removed and path is left as it was."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for block in blocks:
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -78,11 +78,15 @@ def fit_pca(X, dim):
         on both routes.
     """
     X = check_matrix(X, "sample matrix")
-    n, d = X.shape
-    if n == 0:
+    if X.shape[0] == 0:
         raise EmptyFit("cannot fit a subspace on zero rows")
-    dim = check_count(dim, "requested dimension", ValueError)
+    return _fit_pca(X, check_count(dim, "requested dimension", ValueError))
 
+
+def _fit_pca(X, dim):
+    """fit_pca without its checks, for a refit's rows: X a finite (n, d)
+    float array with n >= 1 and dim an int >= 1."""
+    n, d = X.shape
     # uniform weights, not X.mean(axis=0): this summation order fixes the
     # bits of every fitted model
     w = np.full(n, 1.0 / n)
@@ -171,11 +175,11 @@ class _SourceRows:
         self.rows = X
 
     def fit(self, R, dim):
-        S = fit_pca(np.vstack([self.rows, R]), dim)
+        S = _fit_pca(np.vstack([self.rows, R]), dim)
         return S, self.residual(S)
 
     def residual(self, S):
-        return float(residuals_sq(S, self.rows).sum())
+        return float(_residuals_sq(S, self.rows).sum())
 
 
 def _kept_dim(evals, M, mean, n, dim):
@@ -208,7 +212,11 @@ def _signed_subspace(mean, basis, evals):
 
 def residuals_sq(S, X):
     """Row-wise squared residuals for a whole sample matrix."""
-    X = check_matrix(X, "sample matrix", width=S.dim)
+    return _residuals_sq(S, check_matrix(X, "sample matrix", width=S.dim))
+
+
+def _residuals_sq(S, X):
+    """residuals_sq without its check: X a finite (n, S.dim) float array."""
     Y = X - S.mean
     R = Y - (Y @ S.basis) @ S.basis.T
     return np.einsum("ij,ij->i", R, R)

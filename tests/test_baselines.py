@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import pas
-from pas import PasConfig, SourceLabels, nn1_classify, pas_c
+from pas import (AnchorState, PasConfig, PasModel, SourceLabels, core, kliep_fit,
+                 nn1_classify, pas_c)
 from pas.data import LabeledDataset, Shift, SynthConfig, synth_shifted_pair
 from pas.errors import DimensionMismatch, EmptySelection, NonFinite, RangeError
 from test_properties import nn1_case
@@ -23,8 +24,8 @@ def test_nn1_exact_match_gets_source_label():
 
 
 def test_nn1_single_source_sample():
-    # at 1e200 the target's squared norms overflow float64, which leaves
-    # the float32 screen no scale: its rows go on without a warning
+    # at 1e200 the target's squared norms would overflow float64 unscaled;
+    # every tier works on rows scaled into range, without a warning
     src = labeled([[1.0, 2.0]], [0])
     for scale in (1.0, 1e200):
         out = nn1_classify(src, np.random.default_rng(0).normal(size=(6, 2)) * scale)
@@ -194,6 +195,43 @@ def test_predict_memory_is_linear_in_rows():
     R = sum(S.effective_dim for S in model.subspaces)
     peak = traced_peak(lambda: pas.predict(model, X_t))
     assert peak <= 6 * m * (K + R) * 8 + m * d * 8
+
+
+def test_compute_distances_with_memo_memory_is_linear_in_rows():
+    # with the solver's refit memo the centred rows are already held, so a
+    # call holds a few (m, K + R) products, first for every class and then
+    # for the refitted ones, written into the memo's matrix in place
+    m = n = 4096
+    d, K = 64, 10
+    rng = np.random.default_rng(4)
+    labels = SourceLabels(labels=np.arange(n) % K, num_classes=K)
+    refits = core._ClassRefits(rng.normal(size=(n, d)), labels,
+                               rng.normal(size=(m, d)) + 0.5)
+    model = PasModel(subspaces=refits.refit(None, 2), config=PasConfig(dim=2))
+    R = sum(S.effective_dim for S in model.subspaces)
+    bound = 6 * m * (K + R) * 8 + m * d * 8
+    peak = traced_peak(lambda: setattr(refits, "dists", core.compute_distances(
+        model, refits.X_t, _memo=refits)))
+    assert peak <= bound
+    assigned = refits.dists.argmin(axis=1)
+    state = AnchorState(assigned, (assigned < K // 2).astype(np.int64), 1.0,
+                        refits.dists[np.arange(m), assigned], K)
+    model = PasModel(subspaces=refits.refit(state, 2), config=PasConfig(dim=2))
+    assert refits.refitted
+    peak = traced_peak(lambda: core.compute_distances(model, refits.X_t, _memo=refits))
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("centers", [50, 200])
+def test_kliep_memory_is_linear_in_rows_and_centers(centers):
+    # kliep_fit holds the (n, centers) and (m, centers) kernel matrices and
+    # a few of their temporaries, never an (m, n) one
+    m = n = 4096
+    d = 64
+    rng = np.random.default_rng(5)
+    X_s, X_t = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
+    peak = traced_peak(lambda: kliep_fit(X_s, X_t, num_centers=centers))
+    assert peak <= 3 * (m + n) * centers * 8
 
 
 def test_fit_progressive_memory_is_linear_in_rows():

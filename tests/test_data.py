@@ -1,11 +1,14 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from pas.data import (
+    IO_BLOCK_ROWS,
     Shift,
     SynthConfig,
+    atomic_write_bytes,
     atomic_write_text,
     load_features,
     load_labeled,
@@ -15,6 +18,7 @@ from pas.data import (
     synth_shifted_pair,
 )
 from pas.errors import ConfigError, NonFinite, ParseError, RangeError
+from test_baselines import traced_peak
 
 
 # --- loaders ----------------------------------------------------------------
@@ -107,6 +111,37 @@ def test_csv_cells_match_per_value_repr(tmp_path):
     save_features(str(p), X)
     lines = [",".join(repr(float(v)) for v in row) for row in X]
     assert p.read_text() == "\n".join(lines) + "\n"
+
+
+def test_blocked_files_match_whole_file_oracles(tmp_path):
+    # the whole file's text and PASM bytes, as save_features once built
+    # them, are the oracles for its blocks, here past two block boundaries
+    # and from a matrix that is not C-ordered
+    X = np.asfortranarray(np.random.default_rng(2).normal(size=(2 * IO_BLOCK_ROWS + 1, 3)))
+    p = tmp_path / "f"
+    save_features(str(p), X)
+    lines = [",".join(map(repr, row.tolist())) for row in X]
+    assert p.read_text() == "\n".join(lines) + "\n"
+    save_features(str(p), X, fmt="bin")
+    assert p.read_bytes() == b"PASM" + struct.pack("<II", *X.shape) + X.astype("<f8").tobytes()
+    # zero rows: one newline, and a header alone
+    save_features(str(p), np.zeros((0, 3)))
+    assert p.read_bytes() == b"\n"
+    save_features(str(p), np.zeros((0, 3)), fmt="bin")
+    assert p.read_bytes() == b"PASM" + struct.pack("<II", 0, 3)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, fmt):
+    # a save holds one block of rows' text or bytes and a load the matrix
+    # and loadtxt's line, where the whole file's text is 8 blocks here
+    X = np.random.default_rng(3).normal(size=(8192, 64))
+    # repr of a float64 takes at most 24 characters, plus its separator
+    block = IO_BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
+    p = str(tmp_path / "f")
+    assert traced_peak(lambda: save_features(p, X, fmt=fmt)) <= X.nbytes + 4 * block
+    assert traced_peak(lambda: load_features(p)) <= X.nbytes + 4 * block
+    assert load_features(p).tobytes() == X.tobytes()
 
 
 def test_binary_round_trip_bitwise(tmp_path):
@@ -344,4 +379,18 @@ def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(IsADirectoryError):
         atomic_write_text(str(target), "text\n")
     assert target.is_dir()
+    assert list(tmp_path.glob("*.tmp.*")) == []
+
+
+def test_failed_streamed_write_leaves_no_output(tmp_path):
+    target = tmp_path / "f"
+    target.write_bytes(b"old\n")
+
+    def blocks():
+        yield b"new"
+        raise RuntimeError("block source failed")
+
+    with pytest.raises(RuntimeError, match="block source failed"):
+        atomic_write_bytes(str(target), blocks())
+    assert target.read_bytes() == b"old\n"
     assert list(tmp_path.glob("*.tmp.*")) == []

@@ -621,3 +621,23 @@ def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, scale, chunk):
         mp.setattr(baselines, "NN1_CHUNK_ROWS", chunk)
         got = baselines.nn1_classify(source, X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
+                             "single", "equal"]),
+       n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 64),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+       j=st.sampled_from([-600, -530, 500]))
+def test_nn1_labels_are_unchanged_by_power_of_two_scaling(seed, kind, n, m, d,
+                                                          offset, j):
+    # scaling both inputs by 2^j is exact, so the nearest rows stay the same;
+    # at 2^-600 squared distances underflow and at 2^500 those of "far"
+    # targets overflow, unless every tier works on rows scaled into range
+    X_s, X_t = nn1_case(seed, kind, n, m, d, offset)
+    source = LabeledDataset(features=X_s, labels=np.arange(X_s.shape[0]),
+                            num_classes=X_s.shape[0])
+    want = baselines.nn1_classify(source, X_t)
+    source.features = np.ldexp(X_s, j)
+    assert np.array_equal(baselines.nn1_classify(source, np.ldexp(X_t, j)), want)
