@@ -252,11 +252,15 @@ def _rotation_matrix(dim, angle, rng):
             + np.sin(angle) * (np.outer(u2, u1) - np.outer(u1, u2)))
 
 
+# a shift that overflows the target is reported once, by the check on the
+# target's features, not by a warning at each operation
+@np.errstate(over="ignore", invalid="ignore")
 def synth_shifted_pair(cfg):
     """Generate a (source, target) dataset pair under a controlled shift.
 
     Fully deterministic per seed.  With pda_keep set, the target contains
-    only the kept classes while the source keeps all of them.
+    only the kept classes while the source keeps all of them.  A shift
+    large enough to overflow a target feature raises NonFinite.
     """
     if not isinstance(cfg, SynthConfig):
         raise ConfigError("expected a SynthConfig")
@@ -297,7 +301,7 @@ def synth_shifted_pair(cfg):
 
     X_s = np.vstack(src_blocks)
     y_s = np.concatenate(src_labels)
-    X_t = np.vstack(tgt_blocks)
+    X_t = check_matrix(np.vstack(tgt_blocks), "shifted target features")
     y_t = np.concatenate(tgt_labels)
     perm = rng.permutation(X_t.shape[0])
     X_t, y_t = X_t[perm], y_t[perm]

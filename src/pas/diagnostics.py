@@ -41,9 +41,14 @@ class DensityRatioModel:
     def ratio(self, X):
         """Evaluate w(x) row-wise."""
         X = check_matrix(X, "samples", width=self.centers.shape[1])
-        K = np.exp(-cdist(X, self.centers, "sqeuclidean")
-                   / (2.0 * self.bandwidth ** 2))
-        return K @ self.alphas
+        return _kernel(X, self.centers, self.bandwidth) @ self.alphas
+
+
+def _kernel(X, centers, bandwidth):
+    """exp(-||x - c||^2 / (2 bandwidth^2)) of each row of X against each
+    centre; an exponent beyond the float range gives the limit, 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-cdist(X, centers, "sqeuclidean") / (2.0 * bandwidth ** 2))
 
 
 def _kliep_objective(K_src, alphas):
@@ -84,9 +89,9 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         Kernel centers are the first min(num_centers, m) target samples
         under a seeded shuffle.
     bandwidth : float, optional
-        Gaussian kernel width, a finite real number > 0 (DegenerateKernel
-        otherwise); defaults to the median pairwise distance among the
-        centers.
+        Gaussian kernel width, a finite real number > 0 whose
+        2 * bandwidth^2 is a normal float (DegenerateKernel otherwise);
+        defaults to the median pairwise distance among the centers.
     seed : int
         Seed for the center shuffle, an integer >= 0 (ConfigError
         otherwise).
@@ -117,10 +122,14 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         raise DegenerateKernel("bandwidth must be positive, got negative %r" % bandwidth)
     if bandwidth == 0.0:
         raise DegenerateKernel("bandwidth is zero (all points identical?)")
+    # the kernel divides by 2 bandwidth^2; x * x, unlike x ** 2, gives inf
+    # instead of raising
+    if not np.finfo(float).tiny <= 2.0 * bandwidth * bandwidth < np.inf:
+        raise DegenerateKernel("2 * bandwidth^2 must be a normal float, got "
+                               "bandwidth %r" % bandwidth)
 
-    denom = 2.0 * bandwidth ** 2
-    K_src = np.exp(-cdist(X_src, centers, "sqeuclidean") / denom)
-    K_tgt = np.exp(-cdist(X_tgt, centers, "sqeuclidean") / denom)
+    K_src = _kernel(X_src, centers, bandwidth)
+    K_tgt = _kernel(X_tgt, centers, bandwidth)
     b = K_tgt.mean(axis=0)   # target-average of each kernel; strictly > 0
 
     alphas = np.ones(centers.shape[0])

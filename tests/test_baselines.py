@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,33 +131,47 @@ def test_nn1_near_ties_take_the_cdist_recheck(monkeypatch):
 
 
 def test_nn1_tiers_reached(monkeypatch):
-    # rows past the float32 screen (rescored in float64) and rows
-    # rechecked with cdist, counted where the tiers hand them on
-    screen, rescored, rechecked = pas.baselines._screen, [], []
+    # rows scored at each precision, counted where nn1_classify hands them
+    # to the block-scoring routine, and rows rechecked with cdist
+    score_blocks, scored, rechecked = pas.baselines._score_blocks, {}, []
 
-    def counting_screen(*args):
-        undecided = screen(*args)
-        rescored.append(undecided.size)
-        return undecided
+    def counting_blocks(dtype, rows, *args):
+        scored[np.dtype(dtype).name] = rows.size
+        return score_blocks(dtype, rows, *args)
 
     def counting_cdist(XA, XB):
         rechecked.append(XA.shape[0])
         return cdist(XA, XB)
 
-    monkeypatch.setattr(pas.baselines, "_screen", counting_screen)
+    monkeypatch.setattr(pas.baselines, "_score_blocks", counting_blocks)
     monkeypatch.setattr(pas.baselines, "cdist", counting_cdist)
     # far targets: most rows reach float64, and some need cdist
     X_s, X_t = nn1_case(0, "far", n=60, m=40, d=16)
     got = nn1_classify(labeled(X_s, np.arange(X_s.shape[0])), X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
-    assert rescored[0] > X_t.shape[0] // 2 and sum(rechecked) > 0
+    assert scored["float32"] == X_t.shape[0]
+    assert scored["float64"] > X_t.shape[0] // 2 and sum(rechecked) > 0
     # serve-shaped inputs: under 1% of rows pass on to float64
-    rescored.clear()
+    scored.clear()
     cfg = SynthConfig(num_classes=10, dim=64, per_class=1000,
                       shift=Shift(rotation=0.2, translation=2.5, noise=1.5), seed=0)
     src, tgt = synth_shifted_pair(cfg)
     nn1_classify(src, tgt.features)
-    assert rescored[0] < 0.01 * tgt.features.shape[0]
+    assert scored["float64"] < 0.01 * tgt.features.shape[0]
+
+
+def test_nn1_source_mean_does_not_overflow():
+    # the rows' sum overflows float64 where their mean does not; the labels
+    # are those of the contract, cdist on both inputs scaled by 2^k_raw
+    X_s = np.array([[1.5e308, i * 1e307] for i in range(4)])
+    X_t = np.array([[1.5e308, 1.2e307], [1.5e308, 2.7e307], [1.4e308, -3e307]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = nn1_classify(labeled(X_s, np.arange(4)), X_t)
+    assert not caught
+    k_raw = -int(np.frexp(1.5e308)[1])
+    want = np.argmin(cdist(np.ldexp(X_t, k_raw), np.ldexp(X_s, k_raw)), axis=1)
+    assert np.array_equal(got, want) and want.tolist() == [1, 3, 0]
 
 
 def traced_peak(call):
@@ -194,6 +209,23 @@ def test_predict_memory_is_linear_in_rows():
     X_t = rng.normal(size=(m, d))
     R = sum(S.effective_dim for S in model.subspaces)
     peak = traced_peak(lambda: pas.predict(model, X_t))
+    assert peak <= 6 * m * (K + R) * 8 + m * d * 8
+
+
+def test_anchoring_report_memory_is_linear_in_rows():
+    # the report holds predict's distances and the ratio of one group of
+    # rows against the centres, never an (m, m) or (m, n) array
+    m = n = 4096
+    d, K = 64, 10
+    rng = np.random.default_rng(6)
+    labels = SourceLabels(labels=np.arange(n) % K, num_classes=K)
+    model = pas.fit_class_subspaces(rng.normal(size=(n, d)), labels,
+                                    config=PasConfig(dim=2))
+    X_t = rng.normal(size=(m, d)) + 0.5
+    ratio_model = kliep_fit(rng.normal(size=(n, d)), X_t, num_centers=100)
+    truth = rng.integers(0, K, size=m)
+    R = sum(S.effective_dim for S in model.subspaces)
+    peak = traced_peak(lambda: pas.anchoring_report(model, X_t, truth, ratio_model))
     assert peak <= 6 * m * (K + R) * 8 + m * d * 8
 
 

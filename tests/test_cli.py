@@ -208,6 +208,8 @@ def test_synth_determinism_and_pda(tmp_path):
 def test_synth_bad_config_exit_2(tmp_path):
     assert main(synth_args(str(tmp_path / "z"), pda_keep="0,9")) == 2
     assert main(synth_args(str(tmp_path / "z"), noise="nan")) == 2
+    # a shift whose target overflows once wrote inf features and exited 0
+    assert main(synth_args(str(tmp_path / "z"), translation=1e308, noise=1e308)) == 2
     assert not os.path.exists(str(tmp_path / "z") + "_source.csv")
 
 

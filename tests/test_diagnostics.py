@@ -74,6 +74,12 @@ def test_degenerate_kernel():
     with pytest.raises(DegenerateKernel, match="negative"):
         kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
                   np.random.default_rng(1).normal(size=(5, 2)), bandwidth=-1.0)
+    # 2 * bandwidth^2 once underflowed to a division by zero, or raised
+    # OverflowError from bandwidth ** 2
+    for bad in (1e-160, 1e300):
+        with pytest.raises(DegenerateKernel, match="normal float"):
+            kliep_fit(np.random.default_rng(0).normal(size=(5, 2)),
+                      np.random.default_rng(1).normal(size=(5, 2)), bandwidth=bad)
 
 
 @pytest.mark.parametrize("num_centers, target_rows", [(1, 5), (100, 1)])

@@ -1,10 +1,12 @@
 """Property tests for the file boundaries.
 
 Feature (CSV and binary) and label files round-trip bit for bit, and
-malformed CSV, binary, label and model files make `pas fit` and
-`pas predict` exit with 2 or 3, writing nothing.  Each malformed file is
-a valid one with one defect, so every example is malformed by
-construction.
+malformed CSV, binary, label and model files make `pas fit`,
+`pas predict` and `pas diagnose` exit with 2 or 3, writing nothing.  Each
+malformed file is a valid one with one defect, so every example is
+malformed by construction.  The numeric flags of `pas diagnose`,
+`pas synth` and `pas bench`, valid or not, make them exit with 0, 2 or 3,
+and a failed run writes nothing.
 """
 
 import contextlib
@@ -82,9 +84,23 @@ def valid(tmp_path_factory):
     return texts
 
 
-def run_cli(valid, command, bad_key, bad_bytes):
-    """Run `pas fit` or `pas predict` with one input replaced by bad_bytes;
-    return the exit code after checking that no output was written."""
+def exit_code(argv, outs):
+    """main's exit code for argv, argparse's usage errors included, after
+    checking that a failed run left none of the files outs.  An exception
+    escaping main, which a user would see as a traceback, fails the test."""
+    with contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0 or not any(os.path.exists(out) for out in outs)
+    return code
+
+
+def run_cli(valid, command, bad_key=None, bad_bytes=None, flags=()):
+    """Run `pas fit`, `pas predict` or `pas diagnose` with one input
+    replaced by bad_bytes and flags appended; return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for key, text in valid.items():
@@ -96,13 +112,14 @@ def run_cli(valid, command, bad_key, bad_bytes):
             argv = ["fit", "--source", paths["source"], "--labels", paths["labels"],
                     "--target", paths["target"], "--eval-labels", paths["eval"],
                     "--step", "0.5", "--out-model", outs[0], "--trace-csv", outs[1]]
-        else:
+        elif command == "predict":
             argv = ["predict", "--model", paths["model"],
                     "--features", paths["target"], "--out", outs[0]]
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        assert not any(os.path.exists(out) for out in outs)
-    return code
+        else:
+            argv = ["diagnose", "--model", paths["model"], "--source", paths["source"],
+                    "--target", paths["target"], "--true-labels", paths["eval"],
+                    "--out", outs[0], "--out-csv", outs[1]]
+        return exit_code(argv + list(flags), outs)
 
 
 # a field that float() rejects or that parses to a non-finite value
@@ -255,3 +272,69 @@ def malformed_model(draw, text):
 def test_malformed_model_exits_2_or_3(valid, data):
     bad = data.draw(malformed_model(valid["model"]))
     assert run_cli(valid, "predict", "model", bad) in (2, 3)
+
+
+@FUZZ
+@given(data=st.data(), key=st.sampled_from(["model", "source", "target", "eval"]))
+def test_malformed_diagnose_input_exits_2_or_3(valid, data, key):
+    if key == "model":
+        bad = data.draw(malformed_model(valid["model"]))
+    elif key == "eval":
+        bad = data.draw(malformed_labels(valid["eval"]))
+    else:
+        bad = data.draw(malformed_csv(valid[key]) | malformed_binary(valid[key]))
+    assert run_cli(valid, "diagnose", key, bad) in (2, 3)
+
+
+# flag values as typed: each is handed over as --flag=value, so that one
+# starting with "-" reaches the flag's own parser.  Valid draws are small,
+# since a valid size is run.
+reals = (st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "0", "-0.0", "5e-324",
+                          "1e-300", "1e-160", "1e160", "1e300", "1e308", "x", ""])
+         | st.floats(0.01, 10.0).map(repr))
+sizes = st.sampled_from(["0", "-1", "1.5", "1e1", "x", ""]) | st.integers(1, 3).map(str)
+seeds = (st.sampled_from(["-1", "1.5", "x", "", str(2**64)])
+         | st.integers(0, 5).map(str))
+
+
+def flag_args(**flags):
+    """--name=value for each flag given, underscores spelled as dashes."""
+    return ["--%s=%s" % (name.replace("_", "-"), value)
+            for name, value in flags.items() if value is not None]
+
+
+@FUZZ
+@given(fraction=st.none() | reals | st.sampled_from(["0.04", "0.05", "0.5", "0.51"]),
+       centers=st.none() | sizes | st.sampled_from(["100", str(2**64)]),
+       bandwidth=st.none() | reals, kliep_seed=st.none() | seeds)
+def test_diagnose_flags_exit_0_2_or_3(valid, fraction, centers, bandwidth, kliep_seed):
+    flags = flag_args(fraction=fraction, centers=centers, bandwidth=bandwidth,
+                      kliep_seed=kliep_seed)
+    assert run_cli(valid, "diagnose", flags=flags) in (0, 2, 3)
+
+
+@FUZZ
+@given(classes=sizes, dim=sizes, per_class=sizes, rotation=st.none() | reals,
+       translation=st.none() | reals, noise=st.none() | reals,
+       pda_keep=st.none() | st.sampled_from(["0", "0,1", "2", "-1", "x", "", "0,,1"]),
+       seed=st.none() | seeds)
+def test_synth_flags_exit_0_2_or_3(classes, dim, per_class, rotation, translation,
+                                   noise, pda_keep, seed):
+    flags = flag_args(classes=classes, dim=dim, per_class=per_class,
+                      rotation=rotation, translation=translation, noise=noise,
+                      pda_keep=pda_keep, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "d")
+        outs = [prefix + suffix for suffix in ("_source.csv", "_source_labels.csv",
+                                               "_target.csv", "_target_labels.csv")]
+        assert exit_code(["synth", "--out-prefix", prefix] + flags, outs) in (0, 2, 3)
+
+
+@FUZZ
+@given(suite=st.sampled_from(["pda", "closed"]),
+       seeds=st.sampled_from(["0", "-1", "1", "1.5", "x", "", str(-2**64)]))
+def test_bench_flags_exit_0_2_or_3(suite, seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "bench.csv")
+        argv = ["bench", "--suite", suite, "--out-csv", out] + flag_args(seeds=seeds)
+        assert exit_code(argv, [out]) in (0, 2, 3)
