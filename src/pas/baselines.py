@@ -11,10 +11,12 @@ from .errors import EmptySelection, check_labels, check_matrix
 NN1_CHUNK_ROWS = 1024
 
 # Tie bound on the scores ||s'||^2 - 2t''s', where t' = 2^k (t - mu) and
-# s' = 2^k (s - mu) are the centred rows scaled by the power of two, exact
-# in float64, that puts the largest R' = ||t'|| + max_i ||s'_i|| in
-# [2^59, 2^60); R' bounds every distance from t', and no score, product or
-# partial sum reaches 2^121, so nothing overflows float32.  One GEMM of
+# s' = 2^k (s - mu) are the centred rows scaled by a power of two, exact in
+# float64.  R' = ||t'|| + max_i ||s'_i|| bounds every distance from t'.
+# With span the largest centred entry of each column over targets and
+# source, 2||span|| bounds every R, and 2^k puts it in [2^59, 2^60), so R'
+# stays below 2^60 (to the rounding of the norm) and no score, product or
+# partial sum reaches 2^121: nothing overflows float32.  One GEMM of
 # [-2t', 1] against [s', ||s'||^2] gives the scores in the precision of the
 # call, with eps = 2u and a its smallest normal.  A row whose runner-up
 # score lies beyond
@@ -54,16 +56,17 @@ def _best_two(score):
     return best, best_score.astype(float), runner_up.astype(float)
 
 
-def _score_blocks(dtype, rows, X_t, mu, k, S1, R, nearest):
+def _score_blocks(dtype, rows, X_t, mu, k, S1, nearest):
     """Score the target rows X_t[rows] in dtype, NN1_CHUNK_ROWS at a time,
-    into one block buffer, against S1 = [s', ||s'||^2] at the scale 2^k of
-    the bounds R' in R (NN1_TIE_REL), and set nearest to each row's best.
+    into one block buffer, against S1 = [s', ||s'||^2] at the scale 2^k
+    (NN1_TIE_REL), and set nearest to each row's best.
 
     Yields per block its rows, the positions in it of the rows whose
     runner-up lies within the tie bound, the block's scores (overwritten by
     the next block) and each row's best score plus its bound."""
     n, d = S1.shape[0], S1.shape[1] - 1
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).tiny)
+    s_norm_max = np.sqrt(S1[:, d].max())
     S = S1.astype(dtype, copy=False)
     T = np.ones((min(NN1_CHUNK_ROWS, rows.size), d + 1), dtype=dtype)
     t = np.empty((T.shape[0], d))
@@ -79,8 +82,9 @@ def _score_blocks(dtype, rows, X_t, mu, k, S1, R, nearest):
         T[:b, :d] = np.ldexp(np.subtract(mu, t[:b], out=t[:b]), k + 1, out=t[:b])
         np.matmul(T[:b], S.T, out=score)
         best, best_score, runner_up = _best_two(score)
-        tau = NN1_TIE_REL * ((d + 4) * eps * R[block] ** 2
-                             + (d + 1) * tiny * (R[block] + 1.0))
+        # R' = ||t'|| + max ||s'||, with t[:b] = -2t'
+        R = 0.5 * np.sqrt(np.einsum("ij,ij->i", t[:b], t[:b])) + s_norm_max
+        tau = NN1_TIE_REL * ((d + 4) * eps * R ** 2 + (d + 1) * tiny * (R + 1.0))
         nearest[block] = best
         # written as "not beyond" so that a NaN is never taken as decided
         yield (block, np.flatnonzero(~(runner_up - best_score > tau)), score,
@@ -123,41 +127,34 @@ def nn1_classify(source, X_t):
         return labels[nearest]
     # a weighted sum, so that no partial sum of finite rows overflows
     mu = np.full(n, 1.0 / n) @ X_s
-    # the centred rows are scaled by 2^k, exact, that puts their largest
-    # entry in [0.5, 1), so no square under- or overflows; the recheck
-    # scales the raw rows the same way by 2^k_raw.  fl(x - mu) is monotone
-    # in x, so the column extremes give the largest centred entry.
+    # the recheck scales the raw rows by 2^k_raw, exact, that puts their
+    # largest entry in [0.5, 1), so no square under- or overflows
     hi = np.maximum(X_s.max(axis=0), X_t.max(axis=0))
     lo = np.minimum(X_s.min(axis=0), X_t.min(axis=0))
-    k = -int(np.frexp(max((hi - mu).max(), (mu - lo).max()))[1])
     k_raw = -int(np.frexp(max(hi.max(), -lo.min()))[1])
-    S1 = np.empty((n, d + 1))
-    S, s_sq = S1[:, :d], S1[:, d]
-    np.ldexp(np.subtract(X_s, mu, out=S), k, out=S)
-    np.einsum("ij,ij->i", S, S, out=s_sq)
-    s_norm_max = np.sqrt(s_sq.max())
-    # R bounds every distance from t (NN1_TIE_REL); its largest value sets
-    # the scores' scale, so it is taken before any row is scored
-    R = np.empty(m)
-    for start in range(0, m, NN1_CHUNK_ROWS):
-        T = np.ldexp(X_t[start:start + NN1_CHUNK_ROWS] - mu, k)
-        R[start:start + T.shape[0]] = np.sqrt(np.einsum("ij,ij->i", T, T)) + s_norm_max
 
     def recheck(i, cand):
         dist = cdist(np.ldexp(X_t[i:i + 1], k_raw), np.ldexp(X_s[cand], k_raw))[0]
         nearest[i] = cand[np.argmin(dist)]
 
-    if not np.isfinite(R.max()):
-        # centring overflowed float64: no scale fits, so cdist decides
+    # fl(x - mu) is monotone in x, so span bounds every centred entry in its
+    # column and 2||span|| every R (NN1_TIE_REL)
+    with np.errstate(over="ignore"):
+        span = np.maximum(hi - mu, mu - lo)
+    if not np.isfinite(span).all():
+        # centring overflows float64: no scale fits, so cdist decides
         for i in range(m):
             recheck(i, np.arange(n))
         return labels[nearest]
-    # one more power of two puts the largest R' in [2^59, 2^60)
-    j = 60 - int(np.frexp(R.max())[1])
-    np.ldexp(S, j, out=S)
-    np.ldexp(s_sq, 2 * j, out=s_sq)
-    np.ldexp(R, j, out=R)
-    args = (X_t, mu, k + j, S1, R, nearest)
+    # the power of two that puts 2||span|| in [2^59, 2^60), its norm taken
+    # on span scaled into [0.5, 1) so that no square overflows
+    e = int(np.frexp(span.max())[1])
+    k = 60 - e - int(np.frexp(2.0 * np.linalg.norm(np.ldexp(span, -e)))[1])
+    S1 = np.empty((n, d + 1))
+    S, s_sq = S1[:, :d], S1[:, d]
+    np.ldexp(np.subtract(X_s, mu, out=S), k, out=S)
+    np.einsum("ij,ij->i", S, S, out=s_sq)
+    args = (X_t, mu, k, S1, nearest)
     undecided = np.concatenate([block[tied] for block, tied, _, _ in
                                 _score_blocks(np.float32, np.arange(m), *args)])
     for block, tied, score, bound in _score_blocks(np.float64, undecided, *args):

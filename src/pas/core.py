@@ -20,9 +20,9 @@ whose anchored target rows are unchanged keeps its subspace, its source
 residual total and its distance column bit for bit instead of being
 refitted; only the columns of refitted classes are recomputed, which can
 move their last bits against a recomputation of every column.  A refit
-that changes no class ends the inner loop, and the next stage starts
-from that fixed point unrefitted.  A state holds memberships as class
-indices, checked once when a fit starts.
+that changes no class ends the inner loop; at the start of a stage it
+leaves the warm state's assignments and distances as they are.  A state
+holds memberships as class indices, checked once when a fit starts.
 
 Each class keeps one summary of its source rows, chosen once per fit by
 pas.subspace.source_summary: its moments (count, mean and centred
@@ -175,6 +175,7 @@ def _centred_rows(X_t):
     return centre, X_c, np.einsum("ij,ij->i", X_c, X_c)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_distances(model, X_t, _memo=None):
     """m x K matrix of squared residuals of each row to each class subspace.
 
@@ -188,7 +189,7 @@ def compute_distances(model, X_t, _memo=None):
     The solver passes its refit memo as _memo, which holds the checked
     X_t centred once per fit, the distance matrix of its previous
     subspaces and the classes its last refit changed; only those columns
-    are recomputed, checked finite (else NonFinite) and written in place.
+    are recomputed and written in place.  Overflow raises NonFinite.
     """
     if _memo is None:
         X_t = check_matrix(X_t, "target features", width=model.feature_dim)
@@ -227,8 +228,7 @@ def compute_distances(model, X_t, _memo=None):
     for j in np.flatnonzero(low.any(axis=1)):
         rows = np.flatnonzero(low[j])
         block[j, rows] = residuals_sq(subspaces[j], X_t[rows])
-    if _memo is not None:
-        check_matrix(block, "distance matrix")
+    check_matrix(block, "distance matrix")
     if dists is None:
         return np.ascontiguousarray(block.T)
     dists[:, classes] = block.T
@@ -311,9 +311,8 @@ class _ClassRefits:
     last refit (class k's subspace was fitted on the rows keyed k); and
     per class that subspace and its source residual total, both returned
     by the summary's fit at refit.  refitted lists the classes the last
-    refit fitted anew, dists is the distance matrix of the current
-    subspaces once the solver has set it, and fixed_point the state
-    inner_solve last returned, if a refit on it changed no class.
+    refit fitted anew, and dists is the distance matrix of the current
+    subspaces once the solver has set it.
     """
 
     def __init__(self, X_s, labels, X_t=None, state=None):
@@ -333,7 +332,6 @@ class _ClassRefits:
         self.residuals = [None] * K
         self.refitted = []
         self.dists = None
-        self.fixed_point = None
 
     def refit(self, state, dim):
         """Fit each class on its source rows followed by the target rows
@@ -371,16 +369,20 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     """Fit one subspace per class on its source rows plus anchored targets.
 
     For class k the fitting set is the source rows labeled k followed by
-    the target rows assigned to k with anchor indicator 1, in their
-    original row order.  With no state (or nothing anchored) this is the
-    plain per-class source PCA (up to rounding for a class with at least
-    d source rows, which is fitted from its moments).  The solver passes its per-fit memo as
-    _refits, so only the classes whose anchored rows changed are refitted.
+    the target rows assigned to k with anchor indicator 1, in row order.
+    With no state (or nothing anchored) this is the per-class source PCA,
+    up to rounding for a class fitted from its moments (at least d source
+    rows).  Overflow raises NonFinite.  The solver passes its per-fit memo
+    as _refits, so only the classes whose anchored rows changed are refitted.
     """
     config = config or PasConfig()
-    if _refits is None:
-        _refits = _ClassRefits(X_s, labels, X_t, state)
-    return PasModel(subspaces=_refits.refit(state, config.dim), config=config)
+    if _refits is not None:   # fit_progressive checks the solver's fit
+        return PasModel(subspaces=_refits.refit(state, config.dim), config=config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refits = _ClassRefits(X_s, labels, X_t, state)
+        model = PasModel(subspaces=refits.refit(state, config.dim), config=config)
+    check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
+    return model
 
 
 def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
@@ -390,48 +392,44 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     Returns (model, state, history) where history holds the objective
     after every full iteration; it is nonincreasing up to roundoff
     because each block update is a global minimizer given the others.
-    When a refit after the first iteration changes no class, the rest of
-    the iteration would rebuild the same distances, state and objective
-    bit for bit, so the loop records that objective once more and stops.
-    fit_progressive passes every stage one refit memo (_refits); a stage
-    warm-started on the fixed point of the last skips its first refit.
+    A refit that changes no class would rebuild the same distances: after
+    the first iteration the loop records the last objective once more and
+    stops; on the first it keeps the warm state's assignments and distances,
+    since only fit_progressive shares a refit memo (_refits) between calls
+    and every state returned was built from the distances left in it.
     """
     config = config or PasConfig()
     if _refits is None:
         _refits = _ClassRefits(X_s, labels, X_t, warm_state)
     X_t = _refits.X_t
 
-    # fitted: the memo's subspaces were fitted on state's anchored rows
     state, history = warm_state, []
-    fitted = state is not None and state is _refits.fixed_point
     for _ in range(config.inner_max_iters):
-        if fitted:   # the fixed point's assignments, from the same distances
-            assigned, c = state.assigned, state.distances
-        else:
-            model = fit_class_subspaces(X_s, labels, X_t, state, config,
-                                        _refits=_refits)
-            if _refits.refitted:
-                _refits.dists = compute_distances(model, X_t, _memo=_refits)
-            elif history:
-                history.append(history[-1])
-                fitted = True
-                break
+        model = fit_class_subspaces(X_s, labels, X_t, state, config,
+                                    _refits=_refits)
+        if _refits.refitted:
+            _refits.dists = compute_distances(model, X_t, _memo=_refits)
             assigned = _refits.dists.argmin(axis=1)
             c = _refits.dists[np.arange(assigned.size), assigned]   # the row minima
+        elif history:
+            history.append(history[-1])
+            break
+        else:   # the warm state was built from the memo's distances
+            assigned, c = state.assigned, state.distances
         v = anchor(c, lam)
-        state, fitted = AnchorState(assigned, v, lam, c, len(_refits.sources)), False
+        state = AnchorState(assigned, v, lam, c, len(_refits.sources))
         history.append(_objective_value(_refits.source_total(), c, v, lam))
         if len(history) >= 2:
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
-    _refits.fixed_point = state if fitted else None
     return PasModel(subspaces=list(_refits.subspaces), config=config), state, history
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     """Run the full progressive schedule and return (model, trace), with
-    trace a list of one StageRecord per stage.
+    trace a list of one StageRecord per stage; overflow raises NonFinite.
 
     Stage 0 fits with threshold 0 (source-only initialization); each
     later stage raises the threshold to the quantile of the current
@@ -462,6 +460,7 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
         trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
                                  anchored=int(state.anchors.sum()),
                                  objective=history[-1], pseudo_accuracy=acc))
+    check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
     return model, trace
 
 

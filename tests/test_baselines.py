@@ -174,6 +174,18 @@ def test_nn1_source_mean_does_not_overflow():
     assert np.array_equal(got, want) and want.tolist() == [1, 3, 0]
 
 
+def test_nn1_centring_overflow_goes_to_cdist():
+    # mu - lo overflows, so no scale fits and cdist decides every row, on
+    # both inputs scaled by 2^k_raw, with no warning
+    X_s, X_t = np.array([[1.5e308], [1e308]]), np.array([[-1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nn1_classify(labeled(X_s, [0, 1]), X_t)
+    k_raw = -int(np.frexp(1.5e308)[1])
+    want = np.argmin(cdist(np.ldexp(X_t, k_raw), np.ldexp(X_s, k_raw)), axis=1)
+    assert got.tolist() == want.tolist() == [1]
+
+
 def traced_peak(call):
     """Bytes call() allocates at its peak, as tracemalloc sees numpy's."""
     tracemalloc.start()

@@ -176,6 +176,19 @@ def test_predict_dimension_mismatch_exit_3(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_predict_overflowing_distance_exit_2(tmp_path, capsys):
+    # finite rows whose distances overflow once got labels from NaN
+    prefix = make_data(tmp_path, classes=2, dim=2, per_class=5)
+    model, _ = run_fit(tmp_path, prefix)
+    rows = tmp_path / "big.csv"
+    rows.write_text("1,1\n1.5e308,2\n-1.5e308,3\n")
+    out = str(tmp_path / "pred.txt")
+    assert main(["predict", "--model", model, "--features", str(rows),
+                 "--out", out]) == 2
+    assert "distance matrix contains NaN/Inf" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_fit_missing_file_exit_2(tmp_path):
     assert main(["fit", "--source", str(tmp_path / "nope.csv"),
                  "--labels", str(tmp_path / "nope.txt"),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -646,6 +647,27 @@ def test_overflowing_fit_raises_nonfinite(monkeypatch):
         with pytest.raises(NonFinite, match="distance matrix contains NaN/Inf"):
             fit_progressive(1e155 * Xs, labels, 1e155 * Xt)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("big_class", [
+    # rows (1.5e308, i): a refit multiplies their mean back by the row count
+    [[1.5e308, i] for i in range(4)],
+    # their scatter overflows, and the class was once fitted as a point
+    [[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, -1e200]]])
+def test_fit_near_float_max_raises_nonfinite(big_class):
+    Xs = np.vstack([big_class, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    ys = np.repeat([0, 1], 4)
+    labels = SourceLabels(labels=ys, num_classes=2)
+    Xt = np.array([[1.0, 1.0], [1.5e308, 2.0], [3.0, 3.0]])
+    source = pas.LabeledDataset(features=Xs, labels=ys, num_classes=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (lambda: fit_progressive(Xs, labels, Xt[::2]),
+                    lambda: fit_progressive(Xs, labels, Xt),
+                    lambda: fit_class_subspaces(Xs, labels),
+                    lambda: pas.pas_c(source)):
+            with pytest.raises(NonFinite):
+                fit()
 
 
 # --- predict ----------------------------------------------------------------

@@ -320,11 +320,11 @@ def test_absent_classes_are_fitted_once(monkeypatch):
 @pytest.mark.parametrize("suite, class_refits, distance_calls",
                          [("closed", 432, 216), ("pda", 37, 26)])
 def test_suite_fit_work_counts(monkeypatch, suite, class_refits, distance_calls):
-    # recorded before the solver carried class indices, skipped the refit
-    # at the start of a stage and refitted classes from source moments: the
-    # fast paths neither add nor drop a class refit or a distance
-    # recomputation.  A moments refit calls no fit_pca, so class refits
-    # are counted at the memo.
+    # recorded before the solver carried class indices, kept the warm
+    # state's distances when a stage's first refit changes no class and
+    # refitted classes from source moments: the fast paths neither add nor
+    # drop a class refit or a distance recomputation.  A moments refit
+    # calls no fit_pca, so class refits are counted at the memo.
     source, target, labels, config = suite_pair(suite)
     counts = {"class_refits": 0, "compute_distances": 0}
     refit, distances = core._ClassRefits.refit, core.compute_distances
@@ -580,9 +580,12 @@ def nn1_case(seed, kind, n, m, d, offset=0.0, scale=1.0):
     level, where only the cdist recheck can decide; targets translated by
     1e6 to 1e14 along one direction ("far") leave the float32 screen no
     margin, so most rows are rescored in float64 and some reach cdist,
-    and their norms differ by up to 1e8; a single source row
-    ("single") or n equal ones ("equal") put every source row on the
-    mean.  Both sides are then shifted by offset and scaled by scale."""
+    and their norms differ by up to 1e8; targets moved by 1e4 each along
+    its own coordinate ("axes") make the scale's bound, twice the norm of
+    the columns' largest centred entries, exceed every row's R by about
+    sqrt(min(m, d)); a single source row ("single") or n equal ones
+    ("equal") put every source row on the mean.  Both sides are then
+    shifted by offset and scaled by scale."""
     rng = np.random.default_rng(seed)
     shift = offset * rng.normal(size=d)
     if kind == "grid":
@@ -600,13 +603,15 @@ def nn1_case(seed, kind, n, m, d, offset=0.0, scale=1.0):
         if kind == "far":
             X_t += np.outer(10.0 ** rng.uniform(6, 14, size=m),
                             rng.normal(size=d) / np.sqrt(d))
+        if kind == "axes":
+            X_t[np.arange(m), np.arange(m) % d] += 1e4 * rng.choice([-1.0, 1.0], size=m)
     return (X_s + shift) * scale, (X_t + shift) * scale
 
 
 @settings(PROPERTY, max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
-                             "single", "equal"]),
+                             "axes", "single", "equal"]),
        n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 300),
        offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
        scale=st.sampled_from([1e-30, 1.0, 1e30]),
@@ -626,7 +631,7 @@ def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, scale, chunk):
 @settings(PROPERTY, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
-                             "single", "equal"]),
+                             "axes", "single", "equal"]),
        n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 64),
        offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
        j=st.sampled_from([-600, -530, 500]))
