@@ -1,7 +1,6 @@
 """Reference classifiers: 1-nearest-neighbor and the source-only subspace model."""
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import PasConfig, PasModel, SourceLabels, fit_class_subspaces
 from .errors import EmptySelection, check_labels, check_matrix
@@ -42,6 +41,14 @@ NN1_CHUNK_ROWS = 1024
 # the bracket above, so NN1_TIE_REL leaves room for the second-order terms
 # and the rounding of R' itself.
 NN1_TIE_REL = 8.0
+
+
+def cdist(XA, XB):
+    """scipy's Euclidean cdist, imported on first call, so that importing
+    pas loads no scipy.spatial: 1NN needs it only for near ties."""
+    from scipy.spatial.distance import cdist as scipy_cdist
+
+    return scipy_cdist(XA, XB)
 
 
 def _best_two(score):

@@ -283,14 +283,16 @@ def objective(model, X_s, labels, X_t, state):
     A fresh refit memo checks the inputs and state and sums the source
     term over model's subspaces from its source summaries; a model of
     another width than X_s or another class count than labels raises
-    DimensionMismatch."""
+    DimensionMismatch, and overflow NonFinite."""
     if model.num_classes != labels.num_classes:
         raise DimensionMismatch("model has %d classes, labels %d"
                                 % (model.num_classes, labels.num_classes))
-    refits = _ClassRefits(X_s, labels, X_t, state)
-    dists = compute_distances(model, refits.X_t)
-    refits.residuals = [source.residual(S)
-                        for source, S in zip(refits.sources, model.subspaces)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        refits = _ClassRefits(X_s, labels, X_t, state)
+        dists = compute_distances(model, refits.X_t)
+        refits.residuals = [source.residual(S)
+                            for source, S in zip(refits.sources, model.subspaces)]
+    check_matrix([refits.residuals], "source residuals")   # NaN/Inf on overflow
     return _objective_value(refits.source_total(),
                             dists[np.arange(dists.shape[0]), state.assigned],
                             state.anchors, state.threshold)
@@ -397,10 +399,15 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     stops; on the first it keeps the warm state's assignments and distances,
     since only fit_progressive shares a refit memo (_refits) between calls
     and every state returned was built from the distances left in it.
+    Overflow raises NonFinite.
     """
     config = config or PasConfig()
-    if _refits is None:
-        _refits = _ClassRefits(X_s, labels, X_t, warm_state)
+    if _refits is None:   # a standalone call; fit_progressive checks its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            refits = _ClassRefits(X_s, labels, X_t, warm_state)
+            result = inner_solve(X_s, labels, X_t, lam, warm_state, config, refits)
+        check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
+        return result
     X_t = _refits.X_t
 
     state, history = warm_state, []

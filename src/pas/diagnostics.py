@@ -12,7 +12,6 @@ farthest groups of target samples.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 # predict is not called here, but benchmarks/tracer.py patches
 # diagnostics.predict by name and fails on a missing attribute
@@ -47,6 +46,9 @@ class DensityRatioModel:
 def _kernel(X, centers, bandwidth):
     """exp(-||x - c||^2 / (2 bandwidth^2)) of each row of X against each
     centre; an exponent beyond the float range gives the limit, 0."""
+    # imported on first use, as in kliep_fit: importing pas loads no scipy
+    from scipy.spatial.distance import cdist
+
     with np.errstate(over="ignore"):
         return np.exp(-cdist(X, centers, "sqeuclidean") / (2.0 * bandwidth ** 2))
 
@@ -116,6 +118,8 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
     if bandwidth is None:
         if centers.shape[0] < 2:
             raise DegenerateKernel("median bandwidth needs >= 2 centers")
+        from scipy.spatial.distance import pdist
+
         bandwidth = float(np.median(pdist(centers)))
     bandwidth = check_real(bandwidth, "bandwidth", DegenerateKernel)
     if bandwidth < 0.0:

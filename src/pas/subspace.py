@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .errors import EmptyFit, check_count, check_matrix
+from .errors import EmptyFit, NonFinite, check_count, check_matrix
 
 # Eigenvalues below RANK_TOL * trace(covariance) are treated as zero rank.
 RANK_TOL = 1e-12
@@ -47,13 +46,17 @@ class Subspace:
 
 def _top_eigenpairs(M, r):
     """Top r eigenpairs of the symmetric matrix M (its lower triangle),
-    eigenvalues nonincreasing, from LAPACK's dsyevr."""
+    eigenvalues nonincreasing, from LAPACK's dsyevr, and M's trace."""
+    # imported on first use, so that importing pas loads no scipy
+    from scipy.linalg import lapack
+
+    trace = float(M.trace())
     size = M.shape[0]
     evals, evecs, _, _, info = lapack.dsyevr(M, compute_v=1, range="I",
                                              lower=1, il=size - r + 1, iu=size)
     if info != 0:
         raise np.linalg.LinAlgError("dsyevr failed with info %d" % info)
-    return evals[r - 1::-1], evecs[:, ::-1]
+    return evals[r - 1::-1], evecs[:, ::-1], trace
 
 
 def fit_pca(X, dim):
@@ -75,17 +78,27 @@ def fit_pca(X, dim):
         nonnegative.  Only the top min(dim, d) eigenpairs of the d x d
         covariance (d <= n) or min(dim, n) of the n x n Gram matrix
         (d > n) are computed, and the basis is orthonormal to rounding
-        on both routes.
+        on both routes.  Rows whose covariance overflows float64 raise
+        NonFinite.
     """
     X = check_matrix(X, "sample matrix")
     if X.shape[0] == 0:
         raise EmptyFit("cannot fit a subspace on zero rows")
-    return _fit_pca(X, check_count(dim, "requested dimension", ValueError))
+    dim = check_count(dim, "requested dimension", ValueError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, trace = _fit_pca(X, dim)
+    # the rank rule keeps no direction of such a matrix, which would
+    # return a point
+    if not math.isfinite(trace):
+        raise NonFinite("the covariance of the rows overflows float64: its "
+                        "trace is %r" % trace)
+    return S
 
 
 def _fit_pca(X, dim):
     """fit_pca without its checks, for a refit's rows: X a finite (n, d)
-    float array with n >= 1 and dim an int >= 1."""
+    float array with n >= 1 and dim an int >= 1.  Returns the Subspace and
+    the trace of the covariance or Gram matrix decomposed."""
     n, d = X.shape
     # uniform weights, not X.mean(axis=0): this summation order fixes the
     # bits of every fitted model
@@ -99,22 +112,22 @@ def _fit_pca(X, dim):
     # n x n Gram route for wide data
     A = np.sqrt(w)[:, None] * Y
     M = A @ A.T
-    evals, evecs = _top_eigenpairs(M, min(dim, n))
-    d_eff = _kept_dim(evals, M, mean, n, dim)
+    evals, evecs, trace = _top_eigenpairs(M, min(dim, n))
+    d_eff = _kept_dim(evals, trace, mean, n, dim)
     # A'u / sqrt(eigenvalue) would be orthonormal only to about
     # eps * trace / eigenvalue (eps / RANK_TOL at the rank cutoff), so
     # one QR orthonormalizes the kept columns A'u instead
     basis = np.linalg.qr(A.T @ evecs[:, :d_eff])[0]
-    return _signed_subspace(mean, basis, evals[:d_eff])
+    return _signed_subspace(mean, basis, evals[:d_eff]), trace
 
 
 def _covariance_fit(mean, M, n, dim):
     """Subspace of `mean` and the top eigenpairs of the d x d covariance M
-    of n rows (d <= n): fit_pca's covariance route after the covariance,
-    which _SourceMoments.fit also takes."""
-    evals, evecs = _top_eigenpairs(M, min(dim, M.shape[0]))
-    d_eff = _kept_dim(evals, M, mean, n, dim)
-    return _signed_subspace(mean, evecs[:, :d_eff].copy(), evals[:d_eff])
+    of n rows (d <= n), and M's trace: fit_pca's covariance route after the
+    covariance, which _SourceMoments.fit also takes."""
+    evals, evecs, trace = _top_eigenpairs(M, min(dim, M.shape[0]))
+    d_eff = _kept_dim(evals, trace, mean, n, dim)
+    return _signed_subspace(mean, evecs[:, :d_eff].copy(), evals[:d_eff]), trace
 
 
 def source_summary(X):
@@ -155,7 +168,7 @@ class _SourceMoments:
         mean = (self.n * self.mean + R.sum(axis=0)) / n
         Z = R - mean
         A = self.scatter_about(mean)
-        S = _covariance_fit(mean, (A + Z.T @ Z) / n, n, dim)
+        S = _covariance_fit(mean, (A + Z.T @ Z) / n, n, dim)[0]
         return S, self.residual(S, A)
 
     def residual(self, S, A=None):
@@ -175,18 +188,19 @@ class _SourceRows:
         self.rows = X
 
     def fit(self, R, dim):
-        S = _fit_pca(np.vstack([self.rows, R]), dim)
+        S = _fit_pca(np.vstack([self.rows, R]), dim)[0]
         return S, self.residual(S)
 
     def residual(self, S):
         return float(_residuals_sq(S, self.rows).sum())
 
 
-def _kept_dim(evals, M, mean, n, dim):
+def _kept_dim(evals, trace, mean, n, dim):
     """The rank rule: how many of the top eigenvalues evals of the
-    covariance or Gram matrix M of n rows with mean `mean` a fit keeps.
+    covariance or Gram matrix M of n rows with mean `mean` a fit keeps,
+    given trace = trace(M).
 
-    An eigenvalue counts above RANK_TOL * trace(M) and above the rounding
+    An eigenvalue counts above RANK_TOL * trace and above the rounding
     of the centring.  The computed mean is off by up to about
     n * eps * |mean|, and the centred rows inherit that error, so the top
     eigenvalue of rows that are all equal is its square: at most
@@ -195,7 +209,7 @@ def _kept_dim(evals, M, mean, n, dim):
     # trace is a sum of squares, so >= 0; hypot keeps |mean| finite for
     # rows whose squared norm would overflow
     noise = n * EPS * math.hypot(*mean.tolist())
-    floor = max(RANK_TOL * float(M.trace()), noise * noise)
+    floor = max(RANK_TOL * trace, noise * noise)
     rank = sum(value > floor for value in evals.tolist())
     return min(dim, mean.shape[0], max(n - 1, 0), rank)
 

@@ -446,6 +446,49 @@ def test_console_entry_point(tmp_path):
     assert os.path.exists(prefix + "_source.csv")
 
 
+# run in one fresh interpreter: which scipy modules each command loads
+IMPORT_PROBE = """
+import sys
+
+import numpy as np
+
+from pas import core
+from pas.cli import main
+from pas.subspace import Subspace
+
+
+def loaded(package):
+    return any(name == package or name.startswith(package + ".")
+               for name in sys.modules)
+
+
+prefix = sys.argv[1]
+assert not loaded("scipy"), "import pas"
+assert main(["synth", "--classes", "2", "--dim", "3", "--per-class", "10",
+             "--translation", "1", "--noise", "0.5", "--out-prefix", prefix]) == 0
+assert not loaded("scipy"), "pas synth"
+point = Subspace(mean=np.zeros(3), basis=np.zeros((3, 0)), spectrum=np.zeros(0))
+core.save_model(core.PasModel([point, point], core.PasConfig()), prefix + ".json")
+assert main(["predict", "--model", prefix + ".json", "--features",
+             prefix + "_target.csv", "--out", prefix + "_pred.csv"]) == 0
+assert not loaded("scipy"), "pas predict"
+assert main(["fit", "--source", prefix + "_source.csv", "--labels",
+             prefix + "_source_labels.csv", "--target", prefix + "_target.csv",
+             "--step", "0.25", "--out-model", prefix + ".json",
+             "--trace-csv", prefix + "_trace.csv"]) == 0
+assert loaded("scipy.linalg") and not loaded("scipy.spatial"), "pas fit"
+"""
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path):
+    # importing pas, pas synth and pas predict load no scipy; pas fit loads
+    # scipy.linalg for its eigensolver and no scipy.spatial
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_PROBE, str(tmp_path / "d")],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_error_messages_on_stderr(tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "no.json"),
                  "--features", str(tmp_path / "no.csv"),

@@ -670,6 +670,30 @@ def test_fit_near_float_max_raises_nonfinite(big_class):
                 fit()
 
 
+@pytest.mark.parametrize("big_class", [
+    [[1.5e308, i] for i in range(4)],
+    [[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, -1e200]]])
+def test_inner_solve_and_objective_near_float_max_raise_nonfinite(big_class):
+    # the source of test_fit_near_float_max_raises_nonfinite; the first
+    # targets' sum overflows when the refit memo centres them, and each
+    # call once warned before it raised
+    Xs = np.vstack([big_class, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    labels = SourceLabels(labels=np.repeat([0, 1], 4), num_classes=2)
+    model = fit_class_subspaces(Xs[4:], SourceLabels(labels=np.repeat([0, 1], 2),
+                                                     num_classes=2))
+    for Xt in ([[1.5e308, 1.0], [1.5e308, 2.0], [3.0, 3.0]],
+               [[1.0, 1.0], [3.0, 3.0]]):
+        m = len(Xt)
+        state = AnchorState(np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64),
+                            1.0, np.zeros(m), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: inner_solve(Xs, labels, Xt, 0.0),
+                         lambda: objective(model, Xs, labels, Xt, state)):
+                with pytest.raises(NonFinite):
+                    call()
+
+
 # --- predict ----------------------------------------------------------------
 
 def test_predict_class_mean_gets_its_label():

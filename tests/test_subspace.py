@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,29 @@ def test_errors():
         residuals_sq(S, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         residuals_sq(S, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_fit_pca_overflowing_covariance_raises_nonfinite(scale):
+    # singular values about 3, 2 and 1 times the scale: the spectrum (about
+    # 9e310 at 1e155) cannot be represented, and these rows were once
+    # fitted as a point after an overflow warning, on either route
+    rng = np.random.default_rng(0)
+    X = scale * rng.normal(size=(12, 3)) * [3.0, 2.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (X, X.T):
+            with pytest.raises(NonFinite):
+                fit_pca(rows, dim=2)
+
+
+def test_fit_pca_rows_at_huge_offset_fit_a_point_silently():
+    # a spread below the rounding of a mean near 1e300 is no direction; the
+    # square of that rounding overflows, which once warned
+    X = 1e300 + np.random.default_rng(0).normal(size=(12, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_pca(X, dim=2).effective_dim == 0
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
