@@ -9,16 +9,17 @@ from .errors import EmptySelection, check_labels, check_matrix
 # instead of m x n distances
 NN1_CHUNK_ROWS = 1024
 
-# Tie bound on the scores ||s'||^2 - 2t''s', where t' = 2^k (t - mu) and
-# s' = 2^k (s - mu) are the centred rows scaled by a power of two, exact in
-# float64.  R' = ||t'|| + max_i ||s'_i|| bounds every distance from t'.
-# With span the largest centred entry of each column over targets and
-# source, 2||span|| bounds every R, and 2^k puts it in [2^59, 2^60), so R'
-# stays below 2^60 (to the rounding of the norm) and no score, product or
-# partial sum reaches 2^121: nothing overflows float32.  One GEMM of
-# [-2t', 1] against [s', ||s'||^2] gives the scores in the precision of the
-# call, with eps = 2u and a its smallest normal.  A row whose runner-up
-# score lies beyond
+# Tie bound on the scores ||s'||^2 - 2t''s', where t' = 2^k (2^k_raw t - mu)
+# and s' = 2^k (2^k_raw s - mu): the recheck's rows, scaled by 2^k_raw
+# (nn1_classify), centred on mu, the mean of the scaled source rows, and
+# scaled by 2^k, exact in float64.  R' = ||t'|| + max_i ||s'_i|| bounds
+# every distance from t'.  With span the largest centred entry of each
+# column over the scaled targets and source, 2||span|| bounds every R, and
+# 2^k puts it in [2^59, 2^60), so R' stays below 2^60 (to the rounding of
+# the norm) and no score, product or partial sum reaches 2^121: nothing
+# overflows float32.  One GEMM of [-2t', 1] against [s', ||s'||^2] gives
+# the scores in the precision of the call, with eps = 2u and a its smallest
+# normal.  A row whose runner-up score lies beyond
 #     NN1_TIE_REL * ((d + 4) * eps * R'^2 + (d + 1) * a * (R' + 1))
 # of its best has a cdist distance to the best strictly below every
 # other's.  Each score is off, to first order, by at most
@@ -30,16 +31,17 @@ NN1_CHUNK_ROWS = 1024
 #     2(d + 1) * a for subnormal products and partial sums;
 # and, with u64 = 2^-53 whatever the precision of the call,
 #   * the float64 rounding of ||s'||^2, d * u64 * R'^2;
-#   * centring: fl(t - mu) and fl(s - mu) move each side by at most u64
-#     times its norm, so each squared distance by 2 * u64 * R'^2;
-# while cdist's own rounding, (d + 2) * u64 relative on its sum of d
-# squared differences and a further 4 * u64 for its sqrt to still separate
-# two sums, takes (d + 4) * eps64 * R'^2 of a pair.  On a pair the float64
-# call is then off by (3d + 7) * eps * R'^2 + 4(d + 1) * a, and the float32
-# call by (d + 3) * eps * R'^2, under 2^-28 of (d + 4) * eps * R'^2 for the
-# float64 terms, and 4 sqrt(d) * a * R' + (4d + 6) * a: both under 6 times
-# the bracket above, so NN1_TIE_REL leaves room for the second-order terms
-# and the rounding of R' itself.
+#   * centring: fl(2^k_raw t - mu) and fl(2^k_raw s - mu) move each side by
+#     at most u64 times its norm, so each squared distance by 2 * u64 * R'^2;
+# while cdist's own rounding on the scaled rows, (d + 2) * u64 relative on
+# its sum of d squared differences and a further 4 * u64 for its sqrt to
+# still separate two sums, takes (d + 4) * eps64 * R'^2 of a pair.  On a
+# pair the float64 call is then off by (3d + 7) * eps * R'^2 + 4(d + 1) * a,
+# and the float32 call by (d + 3) * eps * R'^2, under 2^-28 of
+# (d + 4) * eps * R'^2 for the float64 terms, and
+# 4 sqrt(d) * a * R' + (4d + 6) * a: both under 6 times the bracket above,
+# so NN1_TIE_REL leaves room for the second-order terms and the rounding of
+# R' itself.
 NN1_TIE_REL = 8.0
 
 
@@ -63,10 +65,10 @@ def _best_two(score):
     return best, best_score.astype(float), runner_up.astype(float)
 
 
-def _score_blocks(dtype, rows, X_t, mu, k, S1, nearest):
+def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
     """Score the target rows X_t[rows] in dtype, NN1_CHUNK_ROWS at a time,
-    into one block buffer, against S1 = [s', ||s'||^2] at the scale 2^k
-    (NN1_TIE_REL), and set nearest to each row's best.
+    into one block buffer, against S1 = [s', ||s'||^2] at the scales 2^k_raw
+    and 2^k (NN1_TIE_REL), and set nearest to each row's best.
 
     Yields per block its rows, the positions in it of the rows whose
     runner-up lies within the tie bound, the block's scores (overwritten by
@@ -82,10 +84,11 @@ def _score_blocks(dtype, rows, X_t, mu, k, S1, nearest):
         block = rows[start:start + NN1_CHUNK_ROWS]
         b = block.size
         score = scores[:b]
-        # mu - t = -(t - mu) and the scaling by 2^(k + 1) are exact, so
-        # the product adds -2t''s' to ||s'||^2 as cast; take's default mode
-        # would copy through a second buffer
+        # t scaled by 2^k_raw is the recheck's row; mu - t and the scaling
+        # by 2^(k + 1) are exact, so the product adds -2t''s' to ||s'||^2 as
+        # cast; take's default mode would copy through a second buffer
         np.take(X_t, block, axis=0, out=t[:b], mode="clip")
+        np.ldexp(t[:b], k_raw, out=t[:b])
         T[:b, :d] = np.ldexp(np.subtract(mu, t[:b], out=t[:b]), k + 1, out=t[:b])
         np.matmul(T[:b], S.T, out=score)
         best, best_score, runner_up = _best_two(score)
@@ -106,8 +109,9 @@ def nn1_classify(source, X_t):
     the power of two that puts their largest magnitude in [0.5, 1): that is
     cdist itself wherever its squares neither underflow nor overflow, and
     scaling both inputs by a power of two leaves the labels as they are.
-    Every source row is scored by ||s - mu||^2 - 2 (t - mu)'(s - mu), mu
-    the source mean, on centred rows scaled by a power of two, by one
+    Every tier works on those scaled rows: every source row is scored by
+    ||s - mu||^2 - 2 (t - mu)'(s - mu), mu the mean of the scaled source
+    rows, on centred rows scaled by a second power of two, by one
     block-scoring routine run twice, each pass exact:
 
     1. in float32, on every target row; a row whose runner-up lies beyond
@@ -132,36 +136,30 @@ def nn1_classify(source, X_t):
     nearest = np.empty(m, dtype=np.intp)
     if m == 0:
         return labels[nearest]
-    # a weighted sum, so that no partial sum of finite rows overflows
-    mu = np.full(n, 1.0 / n) @ X_s
-    # the recheck scales the raw rows by 2^k_raw, exact, that puts their
-    # largest entry in [0.5, 1), so no square under- or overflows
+    # every tier works on the rows scaled by 2^k_raw, which puts their
+    # largest magnitude in [0.5, 1): no square under- or overflows in the
+    # recheck, and no mean or centred entry overflows
     hi = np.maximum(X_s.max(axis=0), X_t.max(axis=0))
     lo = np.minimum(X_s.min(axis=0), X_t.min(axis=0))
     k_raw = -int(np.frexp(max(hi.max(), -lo.min()))[1])
+    S1 = np.empty((n, d + 1))
+    S, s_sq = S1[:, :d], S1[:, d]
+    mu = np.ldexp(X_s, k_raw, out=S).mean(axis=0)
+    # ldexp and fl(x - mu) are monotone in x, so span bounds every centred
+    # entry in its column and 2||span|| every R (NN1_TIE_REL)
+    span = np.maximum(np.ldexp(hi, k_raw) - mu, mu - np.ldexp(lo, k_raw))
+    # the power of two that puts 2||span|| in [2^59, 2^60), its norm taken
+    # on span scaled into [0.5, 1) so that no square underflows
+    e = int(np.frexp(span.max())[1])
+    k = 60 - e - int(np.frexp(2.0 * np.linalg.norm(np.ldexp(span, -e)))[1])
+    np.ldexp(np.subtract(S, mu, out=S), k, out=S)
+    np.einsum("ij,ij->i", S, S, out=s_sq)
+    args = (X_t, k_raw, mu, k, S1, nearest)
 
     def recheck(i, cand):
         dist = cdist(np.ldexp(X_t[i:i + 1], k_raw), np.ldexp(X_s[cand], k_raw))[0]
         nearest[i] = cand[np.argmin(dist)]
 
-    # fl(x - mu) is monotone in x, so span bounds every centred entry in its
-    # column and 2||span|| every R (NN1_TIE_REL)
-    with np.errstate(over="ignore"):
-        span = np.maximum(hi - mu, mu - lo)
-    if not np.isfinite(span).all():
-        # centring overflows float64: no scale fits, so cdist decides
-        for i in range(m):
-            recheck(i, np.arange(n))
-        return labels[nearest]
-    # the power of two that puts 2||span|| in [2^59, 2^60), its norm taken
-    # on span scaled into [0.5, 1) so that no square overflows
-    e = int(np.frexp(span.max())[1])
-    k = 60 - e - int(np.frexp(2.0 * np.linalg.norm(np.ldexp(span, -e)))[1])
-    S1 = np.empty((n, d + 1))
-    S, s_sq = S1[:, :d], S1[:, d]
-    np.ldexp(np.subtract(X_s, mu, out=S), k, out=S)
-    np.einsum("ij,ij->i", S, S, out=s_sq)
-    args = (X_t, mu, k, S1, nearest)
     undecided = np.concatenate([block[tied] for block, tied, _, _ in
                                 _score_blocks(np.float32, np.arange(m), *args)])
     for block, tied, score, bound in _score_blocks(np.float64, undecided, *args):

@@ -4,7 +4,7 @@ Every command is deterministic given its flags; reruns at the same BLAS
 thread count produce byte-identical outputs.  Outputs are computed fully
 in memory and written atomically (temp file + rename), so error paths
 never leave a partial success file.  Exit codes: 0 success, 2 I/O/parse/config
-errors, 3 dimension mismatch.
+errors and inputs too large for memory, 3 dimension mismatch.
 """
 
 import argparse
@@ -230,8 +230,8 @@ def main(argv=None):
     except DimensionMismatch as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DIM
-    except (PasError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (PasError, OSError, ValueError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return EXIT_IO
 
 

@@ -39,8 +39,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import data
-from .errors import (ConfigError, DimensionMismatch, EmptyTarget, RangeError,
-                     check_count, check_fraction, check_labels, check_matrix)
+from .errors import (ConfigError, DimensionMismatch, EmptyTarget, NonFinite,
+                     RangeError, check_count, check_fraction, check_labels,
+                     check_matrix)
 # fit_pca stays bound here: benchmarks/tracer.py looks up core.fit_pca when
 # tracing starts
 from .subspace import Subspace, fit_pca, residuals_sq, source_summary
@@ -66,7 +67,8 @@ class PasConfig:
     dim is the requested per-class subspace dimension (1 is a good
     closed-set default; around 10 suits partial-DA with many source
     classes).  schedule_step is the anchored-fraction increment per
-    stage.  All tie-breaks are deterministic (smallest index).
+    stage, in (0, 1] and above 2^-1024, so that 1 / schedule_step stages
+    is finite.  All tie-breaks are deterministic (smallest index).
     """
 
     dim: int = 1
@@ -79,6 +81,9 @@ class PasConfig:
         # plain Python numbers, so a numpy scalar saves to JSON
         self.dim = check_count(self.dim, "dim")
         self.schedule_step = check_fraction(self.schedule_step, "schedule_step", 1.0)
+        if math.isinf(1.0 / self.schedule_step):
+            raise ConfigError("schedule_step must be above 2^-1024, got %r"
+                              % self.schedule_step)
 
 
 @dataclass
@@ -292,7 +297,6 @@ def objective(model, X_s, labels, X_t, state):
         dists = compute_distances(model, refits.X_t)
         refits.residuals = [source.residual(S)
                             for source, S in zip(refits.sources, model.subspaces)]
-    check_matrix([refits.residuals], "source residuals")   # NaN/Inf on overflow
     return _objective_value(refits.source_total(),
                             dists[np.arange(dists.shape[0]), state.assigned],
                             state.anchors, state.threshold)
@@ -359,10 +363,13 @@ class _ClassRefits:
 
     def source_total(self):
         """Source residual total of the current subspaces: the classes'
-        stored totals, summed in class order from 0.0."""
+        stored totals, summed in class order from 0.0.  A total that is not
+        finite (a refit overflowed) raises NonFinite."""
         total = 0.0
         for residual in self.residuals:
             total += residual
+        if not math.isfinite(total):
+            raise NonFinite("source residuals contains NaN/Inf")
         return total
 
 
@@ -383,7 +390,7 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     with np.errstate(over="ignore", invalid="ignore"):
         refits = _ClassRefits(X_s, labels, X_t, state)
         model = PasModel(subspaces=refits.refit(state, config.dim), config=config)
-    check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
+    refits.source_total()   # NonFinite on overflow
     return model
 
 
@@ -404,10 +411,8 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     config = config or PasConfig()
     if _refits is None:   # a standalone call; fit_progressive checks its own
         with np.errstate(over="ignore", invalid="ignore"):
-            refits = _ClassRefits(X_s, labels, X_t, warm_state)
-            result = inner_solve(X_s, labels, X_t, lam, warm_state, config, refits)
-        check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
-        return result
+            return inner_solve(X_s, labels, X_t, lam, warm_state, config,
+                               _ClassRefits(X_s, labels, X_t, warm_state))
     X_t = _refits.X_t
 
     state, history = warm_state, []
@@ -430,7 +435,7 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
             prev = history[-2]
             if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
                 break
-    return PasModel(subspaces=list(_refits.subspaces), config=config), state, history
+    return model, state, history
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -467,7 +472,6 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
         trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
                                  anchored=int(state.anchors.sum()),
                                  objective=history[-1], pseudo_accuracy=acc))
-    check_matrix([refits.residuals], "fitted model")   # NaN/Inf on overflow
     return model, trace
 
 

@@ -175,8 +175,9 @@ def test_nn1_source_mean_does_not_overflow():
 
 
 def test_nn1_centring_overflow_goes_to_cdist():
-    # mu - lo overflows, so no scale fits and cdist decides every row, on
-    # both inputs scaled by 2^k_raw, with no warning
+    # mu - lo overflows on the raw rows, where cdist once decided every row;
+    # every tier now works on both inputs scaled by 2^k_raw, and the label
+    # is still that of cdist on them, with no warning
     X_s, X_t = np.array([[1.5e308], [1e308]]), np.array([[-1.5e308]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -184,6 +185,27 @@ def test_nn1_centring_overflow_goes_to_cdist():
     k_raw = -int(np.frexp(1.5e308)[1])
     want = np.argmin(cdist(np.ldexp(X_t, k_raw), np.ldexp(X_s, k_raw)), axis=1)
     assert got.tolist() == want.tolist() == [1]
+
+
+def test_nn1_scores_near_max_rows_without_recheck(monkeypatch):
+    # centring the raw rows would overflow; on the 2^k_raw-scaled rows they
+    # are scored like any others, and no row is near a tie
+    calls = []
+
+    def counting_cdist(XA, XB):
+        calls.append(XA.shape[0])
+        return cdist(XA, XB)
+
+    monkeypatch.setattr(pas.baselines, "cdist", counting_cdist)
+    X_s = np.array([[1.5e308], [1e308], [-1.5e308]])
+    X_t = np.array([[1.4e308], [-1.4e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nn1_classify(labeled(X_s, [0, 1, 2]), X_t)
+    k_raw = -int(np.frexp(1.5e308)[1])
+    want = np.argmin(cdist(np.ldexp(X_t, k_raw), np.ldexp(X_s, k_raw)), axis=1)
+    assert got.tolist() == want.tolist() == [0, 2]
+    assert calls == []
 
 
 def traced_peak(call):

@@ -209,6 +209,34 @@ def test_fit_dimension_mismatch_exit_3(tmp_path):
                  "--trace-csv", str(tmp_path / "t.csv")]) == 3
 
 
+@pytest.mark.parametrize("step", ["5e-324", "1e-310"])
+def test_fit_step_without_finite_stage_count_exit_2(tmp_path, capsys, step):
+    # 1 / step overflows to inf, and the stage count once raised
+    # OverflowError from math.ceil
+    prefix = make_data(tmp_path)
+    model = str(tmp_path / "m.json")
+    assert main(["fit", "--source", prefix + "_source.csv",
+                 "--labels", prefix + "_source_labels.csv",
+                 "--target", prefix + "_target.csv", "--step", step,
+                 "--out-model", model, "--trace-csv", str(tmp_path / "t.csv")]) == 2
+    assert "schedule_step must be above 2^-1024" in capsys.readouterr().err
+    assert not os.path.exists(model)
+
+
+@pytest.mark.parametrize("message, shown", [("Unable to allocate 7.28 TiB",) * 2,
+                                            ("", "MemoryError")])
+def test_synth_memory_error_exit_2(tmp_path, capsys, monkeypatch, message, shown):
+    # an array too large to allocate once escaped main as a traceback; the
+    # allocation is stubbed, since a real one could start filling memory
+    def too_large(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pas.data, "synth_shifted_pair", too_large)
+    assert main(synth_args(str(tmp_path / "z"), per_class=10**12)) == 2
+    assert capsys.readouterr().err == "error: %s\n" % shown
+    assert not os.listdir(tmp_path)
+
+
 def test_synth_determinism_and_pda(tmp_path):
     p1 = make_data(tmp_path / "x", pda_keep="0,2", seed=7)
     p2 = make_data(tmp_path / "y", pda_keep="0,2", seed=7)

@@ -670,6 +670,30 @@ def test_fit_near_float_max_raises_nonfinite(big_class):
                 fit()
 
 
+def test_overflowing_refit_raises_at_first_refit(monkeypatch):
+    # the (+-1e200) source of test_fit_near_float_max_raises_nonfinite with
+    # ordinary targets: the distances stay finite, but the class's source
+    # residual total does not, and the fit once ran its whole schedule on
+    # NaN totals before it raised
+    Xs = np.vstack([[[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, -1e200]],
+                    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+    labels = SourceLabels(labels=np.repeat([0, 1], 4), num_classes=2)
+    Xt = np.array([[1.0, 1.0], [3.0, 3.0]])
+    refits = []
+    refit = core._ClassRefits.refit
+
+    def counted(self, *args):
+        refits.append(1)
+        return refit(self, *args)
+
+    monkeypatch.setattr(core._ClassRefits, "refit", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            fit_progressive(Xs, labels, Xt)
+    assert len(refits) == 1
+
+
 @pytest.mark.parametrize("big_class", [
     [[1.5e308, i] for i in range(4)],
     [[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200], [0.0, -1e200]]])

@@ -4,9 +4,9 @@ Feature (CSV and binary) and label files round-trip bit for bit, and
 malformed CSV, binary, label and model files make `pas fit`,
 `pas predict` and `pas diagnose` exit with 2 or 3, writing nothing.  Each
 malformed file is a valid one with one defect, so every example is
-malformed by construction.  The numeric flags of `pas diagnose`,
-`pas synth` and `pas bench`, valid or not, make them exit with 0, 2 or 3,
-and a failed run writes nothing.
+malformed by construction.  The numeric flags of `pas fit`,
+`pas diagnose`, `pas synth` and `pas bench`, valid or not, make them exit
+with 0, 2 or 3, and a failed run writes nothing.
 """
 
 import contextlib
@@ -231,7 +231,7 @@ MODEL_DEFECTS = {
     ("subspaces", 1, "spectrum", 0): [None, "x", float("nan"), -1.0],
     ("config",): [None, "x", [], 1],
     ("config", "dim"): [None, "x", 0, True, False],
-    ("config", "schedule_step"): [None, "x", 0.0, 2.0, True],
+    ("config", "schedule_step"): [None, "x", 0.0, 2.0, True, 5e-324],
     ("config", "unknown"): [1],
 }
 
@@ -311,6 +311,22 @@ def test_diagnose_flags_exit_0_2_or_3(valid, fraction, centers, bandwidth, kliep
     flags = flag_args(fraction=fraction, centers=centers, bandwidth=bandwidth,
                       kliep_seed=kliep_seed)
     assert run_cli(valid, "diagnose", flags=flags) in (0, 2, 3)
+
+
+# Invalid steps, subnormals among them, or valid ones of at most 20
+# stages: a valid step takes 1 / step stages, so a smaller one is slow.
+# A subnormal at or below 2^-1024 has no finite stage count.
+steps = (st.sampled_from(["nan", "inf", "-inf", "1e999", "-1", "0", "-0.0", "1.5",
+                          "5e-324", "1e-310", "x", ""])
+         | st.floats(5e-324, 2.0**-1024).map(repr)
+         | st.floats(0.05, 1.0).map(repr))
+
+
+@FUZZ
+@given(dim=st.none() | sizes | st.sampled_from(["4", "100", str(2**64)]),
+       step=st.none() | steps)
+def test_fit_flags_exit_0_2_or_3(valid, dim, step):
+    assert run_cli(valid, "fit", flags=flag_args(dim=dim, step=step)) in (0, 2, 3)
 
 
 @FUZZ
