@@ -8,7 +8,9 @@ errors and inputs too large for memory, 3 dimension mismatch.
 """
 
 import argparse
+import collections
 import json
+import os
 import sys
 
 import numpy as np
@@ -130,11 +132,51 @@ def _bench_one(suite, seed):
     return out
 
 
+def _bench_results(suite, seeds):
+    """Yield _bench_one(suite, seed) for seeds 0, 1, ..., in seed order.
+
+    The seeds are independent fits, so they run in forked worker
+    processes: one per CPU this process may run on, and at most one per
+    seed.  With one worker they run in this process, with no fork.  A
+    seed's fit is the same computation in any process, so its results
+    are bitwise the same at any worker count.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else (0,)
+    workers = min(len(cpus), seeds)
+    if workers == 1:
+        for seed in range(seeds):
+            yield _bench_one(suite, seed)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        # two seeds queued per worker keep every worker busy while results
+        # are taken in order, and a huge --seeds queues no more than that
+        queued = collections.deque()
+        try:
+            for seed in range(seeds):
+                queued.append(pool.submit(_bench_one, suite, seed))
+                if len(queued) == 2 * workers:
+                    yield queued.popleft().result()
+            while queued:
+                yield queued.popleft().result()
+        except BrokenProcessPool as exc:
+            raise PasError("a bench worker process died: %s" % exc) from None
+        finally:
+            # seeds not yet started never start; the pool's exit waits for
+            # the running ones and joins every worker
+            for future in queued:
+                future.cancel()
+
+
 def cmd_bench(args):
     check_count(args.seeds, "--seeds")
     rows = []
-    for seed in range(args.seeds):
-        for method, accuracy in _bench_one(args.suite, seed).items():
+    for seed, result in enumerate(_bench_results(args.suite, args.seeds)):
+        for method, accuracy in result.items():
             rows.append((method, seed, float(accuracy)))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write_csv(args.out_csv, ["method", "seed", "accuracy"], rows)

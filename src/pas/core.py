@@ -59,6 +59,10 @@ EXACT_FALLBACK_REL = 1e-5
 # 3.1e-4), which must still load.  A genuinely wrong basis is off by order 1.
 BASIS_ORTHONORMAL_TOL = 1e-3
 
+# Smallest schedule_step: a fit runs ceil(1 / step) stages, so this caps
+# them at 10^6 and keeps 1 / step finite.
+MIN_SCHEDULE_STEP = 1e-6
+
 
 @dataclass
 class PasConfig:
@@ -67,8 +71,8 @@ class PasConfig:
     dim is the requested per-class subspace dimension (1 is a good
     closed-set default; around 10 suits partial-DA with many source
     classes).  schedule_step is the anchored-fraction increment per
-    stage, in (0, 1] and above 2^-1024, so that 1 / schedule_step stages
-    is finite.  All tie-breaks are deterministic (smallest index).
+    stage, in [MIN_SCHEDULE_STEP, 1], so that a fit runs at most 10^6
+    stages.  All tie-breaks are deterministic (smallest index).
     """
 
     dim: int = 1
@@ -81,9 +85,9 @@ class PasConfig:
         # plain Python numbers, so a numpy scalar saves to JSON
         self.dim = check_count(self.dim, "dim")
         self.schedule_step = check_fraction(self.schedule_step, "schedule_step", 1.0)
-        if math.isinf(1.0 / self.schedule_step):
-            raise ConfigError("schedule_step must be above 2^-1024, got %r"
-                              % self.schedule_step)
+        if self.schedule_step < MIN_SCHEDULE_STEP:
+            raise ConfigError("schedule_step must be at least %r, got %r"
+                              % (MIN_SCHEDULE_STEP, self.schedule_step))
 
 
 @dataclass

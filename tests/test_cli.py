@@ -1,14 +1,19 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import pas
+from pas import cli
 from pas.cli import main
 from pas.data import load_features, load_labels, save_features
+from pas.errors import ParseError
 
 
 def synth_args(prefix, classes=3, dim=5, per_class=20, rotation=0.3,
@@ -209,17 +214,18 @@ def test_fit_dimension_mismatch_exit_3(tmp_path):
                  "--trace-csv", str(tmp_path / "t.csv")]) == 3
 
 
-@pytest.mark.parametrize("step", ["5e-324", "1e-310"])
+@pytest.mark.parametrize("step", ["5e-324", "1e-310", "1e-300", "1e-7"])
 def test_fit_step_without_finite_stage_count_exit_2(tmp_path, capsys, step):
-    # 1 / step overflows to inf, and the stage count once raised
-    # OverflowError from math.ceil
+    # a fit runs 1 / step stages: at 5e-324 and 1e-310 that overflowed to
+    # inf and math.ceil raised OverflowError, and at 1e-300 the fit never
+    # ended; a step below 1e-6 is refused before any stage runs
     prefix = make_data(tmp_path)
     model = str(tmp_path / "m.json")
     assert main(["fit", "--source", prefix + "_source.csv",
                  "--labels", prefix + "_source_labels.csv",
                  "--target", prefix + "_target.csv", "--step", step,
                  "--out-model", model, "--trace-csv", str(tmp_path / "t.csv")]) == 2
-    assert "schedule_step must be above 2^-1024" in capsys.readouterr().err
+    assert "schedule_step must be at least 1e-06" in capsys.readouterr().err
     assert not os.path.exists(model)
 
 
@@ -361,6 +367,108 @@ def test_bench_accuracies_are_pinned(tmp_path, suite, rows):
                    for seed, correct in enumerate(counts)]
 
 
+def _bench_csv(tmp_path, monkeypatch, suite, cpus, capsys, seeds=8):
+    """pas bench's CSV bytes and printed means when the process may run on
+    the CPUs `cpus` (None: os.sched_getaffinity does not exist), and how
+    many processes it forked."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = tmp_path / ("bench_%s_%s.csv" % (suite, cpus and len(cpus)))
+    assert main(["bench", "--suite", suite, "--seeds", str(seeds),
+                 "--out-csv", str(out)]) == 0
+    monkeypatch.undo()
+    return out.read_bytes(), capsys.readouterr().out, len(forks)
+
+
+@pytest.mark.parametrize("suite", ["closed", "pda"])
+def test_bench_is_byte_identical_at_any_worker_count(tmp_path, monkeypatch, capsys,
+                                                     suite):
+    # one CPU maps the seeds in-process; four CPUs fork four workers for
+    # the eight seeds
+    csv, means, forks = _bench_csv(tmp_path, monkeypatch, suite, {3}, capsys)
+    assert forks == 0
+    assert _bench_csv(tmp_path, monkeypatch, suite, range(4), capsys) == (csv, means, 4)
+    oracle = [(method, seed, accuracy) for seed in range(8)
+              for method, accuracy in cli._bench_one(suite, seed).items()]
+    lines = csv.decode().splitlines()
+    assert lines[0] == "method,seed,accuracy"
+    assert lines[1:] == ["%s,%d,%r" % row for row in sorted(oracle)]
+    assert multiprocessing.active_children() == []
+
+
+def test_bench_without_affinity_runs_in_process(tmp_path, monkeypatch, capsys):
+    # a platform without os.sched_getaffinity maps the seeds in-process
+    got = _bench_csv(tmp_path, monkeypatch, "pda", None, capsys, seeds=2)
+    assert got == _bench_csv(tmp_path, monkeypatch, "pda", {0}, capsys, seeds=2)
+    assert got[2] == 0
+
+
+# bench seeds that fail on seed 3; module functions, so that a forked
+# worker can be sent them by name
+def _parse_error_on_seed_3(suite, seed):
+    if seed == 3:
+        raise ParseError("bench input for seed 3 is malformed")
+    return {"pas": 1.0}
+
+
+def _memory_error_on_seed_3(suite, seed):
+    if seed == 3:
+        raise MemoryError("Unable to allocate 7.28 TiB")
+    return {"pas": 1.0}
+
+
+def _worker_exit_on_seed_3(suite, seed):
+    if seed == 3:
+        os._exit(1)
+    return {"pas": 1.0}
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_parse_error_on_seed_3, "error: bench input for seed 3 is malformed\n"),
+    (_memory_error_on_seed_3, "error: Unable to allocate 7.28 TiB\n"),
+    (_worker_exit_on_seed_3, "error: a bench worker process died: "),
+])
+def test_bench_worker_failure_exit_2(tmp_path, monkeypatch, capfd, fail, message):
+    # a worker's error re-raises in the parent and a worker that dies is
+    # an error; either way the bench writes nothing, prints no traceback
+    # (capfd sees the workers' output too) and leaves no worker running.
+    # Only a few seeds are queued at a time, so a bench of 10^12 seeds
+    # ends as soon as seed 3 fails
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_bench_one", fail)
+    submitted = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(pool, fn, *args):
+        # stop a bench that queues every seed before it fills memory
+        assert len(submitted) < 100, "pas bench queued seeds without bound"
+        submitted.append(args)
+        return real_submit(pool, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    start = time.perf_counter()
+    assert main(["bench", "--suite", "pda", "--seeds", str(10**12),
+                 "--out-csv", str(tmp_path / "b.csv")]) == 2
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == []
+    captured = capfd.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_bench_bad_seeds_exit_2(tmp_path):
     assert main(["bench", "--suite", "pda", "--seeds", "0",
                  "--out-csv", str(tmp_path / "b.csv")]) == 2
@@ -474,7 +582,8 @@ def test_console_entry_point(tmp_path):
     assert os.path.exists(prefix + "_source.csv")
 
 
-# run in one fresh interpreter: which scipy modules each command loads
+# run in one fresh interpreter: which scipy modules each command loads,
+# and that only pas bench, which forks its workers, loads multiprocessing
 IMPORT_PROBE = """
 import sys
 
@@ -491,26 +600,28 @@ def loaded(package):
 
 
 prefix = sys.argv[1]
-assert not loaded("scipy"), "import pas"
+assert not loaded("scipy") and not loaded("multiprocessing"), "import pas"
 assert main(["synth", "--classes", "2", "--dim", "3", "--per-class", "10",
              "--translation", "1", "--noise", "0.5", "--out-prefix", prefix]) == 0
-assert not loaded("scipy"), "pas synth"
+assert not loaded("scipy") and not loaded("multiprocessing"), "pas synth"
 point = Subspace(mean=np.zeros(3), basis=np.zeros((3, 0)), spectrum=np.zeros(0))
 core.save_model(core.PasModel([point, point], core.PasConfig()), prefix + ".json")
 assert main(["predict", "--model", prefix + ".json", "--features",
              prefix + "_target.csv", "--out", prefix + "_pred.csv"]) == 0
-assert not loaded("scipy"), "pas predict"
+assert not loaded("scipy") and not loaded("multiprocessing"), "pas predict"
 assert main(["fit", "--source", prefix + "_source.csv", "--labels",
              prefix + "_source_labels.csv", "--target", prefix + "_target.csv",
              "--step", "0.25", "--out-model", prefix + ".json",
              "--trace-csv", prefix + "_trace.csv"]) == 0
 assert loaded("scipy.linalg") and not loaded("scipy.spatial"), "pas fit"
+assert not loaded("multiprocessing"), "pas fit"
 """
 
 
 def test_commands_load_only_the_scipy_they_use(tmp_path):
     # importing pas, pas synth and pas predict load no scipy; pas fit loads
-    # scipy.linalg for its eigensolver and no scipy.spatial
+    # scipy.linalg for its eigensolver and no scipy.spatial; none of them
+    # loads multiprocessing
     result = subprocess.run(
         [sys.executable, "-W", "error", "-c", IMPORT_PROBE, str(tmp_path / "d")],
         capture_output=True, text=True)
