@@ -10,7 +10,6 @@ errors and inputs too large for memory, 3 dimension mismatch.
 import argparse
 import collections
 import json
-import os
 import sys
 
 import numpy as np
@@ -141,8 +140,7 @@ def _bench_results(suite, seeds):
     seed's fit is the same computation in any process, so its results
     are bitwise the same at any worker count.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else (0,)
-    workers = min(len(cpus), seeds)
+    workers = min(data.usable_cpus(), seeds)
     if workers == 1:
         for seed in range(seeds):
             yield _bench_one(suite, seed)

@@ -585,12 +585,14 @@ def test_console_entry_point(tmp_path):
 # run in one fresh interpreter: which scipy modules each command loads,
 # and that only pas bench, which forks its workers, loads multiprocessing
 IMPORT_PROBE = """
+import os
 import sys
 
 import numpy as np
 
 from pas import core
 from pas.cli import main
+from pas.data import CSV_SPLIT_BYTES, save_features
 from pas.subspace import Subspace
 
 
@@ -609,6 +611,17 @@ core.save_model(core.PasModel([point, point], core.PasConfig()), prefix + ".json
 assert main(["predict", "--model", prefix + ".json", "--features",
              prefix + "_target.csv", "--out", prefix + "_pred.csv"]) == 0
 assert not loaded("scipy") and not loaded("multiprocessing"), "pas predict"
+# a CSV above the split floor (each row of three floats takes over 40
+# bytes) is parsed in forked children, one per CPU past the first
+save_features(prefix + "_big.csv",
+              np.random.default_rng(0).normal(size=(CSV_SPLIT_BYTES // 40, 3)))
+forks = []
+real_fork = os.fork
+os.fork = lambda: forks.append(1) or real_fork()
+assert main(["predict", "--model", prefix + ".json", "--features",
+             prefix + "_big.csv", "--out", prefix + "_pred.csv"]) == 0
+assert len(forks) == len(os.sched_getaffinity(0)) - 1, "split pas predict"
+assert not loaded("scipy") and not loaded("multiprocessing"), "split pas predict"
 assert main(["fit", "--source", prefix + "_source.csv", "--labels",
              prefix + "_source_labels.csv", "--target", prefix + "_target.csv",
              "--step", "0.25", "--out-model", prefix + ".json",
@@ -619,9 +632,10 @@ assert not loaded("multiprocessing"), "pas fit"
 
 
 def test_commands_load_only_the_scipy_they_use(tmp_path):
-    # importing pas, pas synth and pas predict load no scipy; pas fit loads
-    # scipy.linalg for its eigensolver and no scipy.spatial; none of them
-    # loads multiprocessing
+    # importing pas, pas synth and pas predict load no scipy, also when
+    # predict parses its CSV in forked children; pas fit loads scipy.linalg
+    # for its eigensolver and no scipy.spatial; none of them loads
+    # multiprocessing
     result = subprocess.run(
         [sys.executable, "-W", "error", "-c", IMPORT_PROBE, str(tmp_path / "d")],
         capture_output=True, text=True)

@@ -1,9 +1,11 @@
+import os
 import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from pas import data
 from pas.data import (
     IO_BLOCK_ROWS,
     Shift,
@@ -131,17 +133,112 @@ def test_blocked_files_match_whole_file_oracles(tmp_path):
     assert p.read_bytes() == b"PASM" + struct.pack("<II", 0, 3)
 
 
+def allow_cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs; the list returned collects
+    the pid of each child it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, fmt):
+def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fmt):
     # a save holds one block of rows' text or bytes and a load the matrix
-    # and loadtxt's line, where the whole file's text is 8 blocks here
+    # and loadtxt's line, where the whole file's text is 8 blocks here; at
+    # two CPUs a CSV load forks one child, and this process also holds the
+    # half of the rows it parsed
     X = np.random.default_rng(3).normal(size=(8192, 64))
     # repr of a float64 takes at most 24 characters, plus its separator
     block = IO_BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
     p = str(tmp_path / "f")
     assert traced_peak(lambda: save_features(p, X, fmt=fmt)) <= X.nbytes + 4 * block
-    assert traced_peak(lambda: load_features(p)) <= X.nbytes + 4 * block
+    for cpus in (1, 2):
+        forks = allow_cpus(monkeypatch, cpus)
+        assert traced_peak(lambda: load_features(p)) <= X.nbytes + 4 * block
+        assert load_features(p).tobytes() == X.tobytes()
+        assert len(forks) == (2 * (cpus - 1) if fmt == "csv" else 0)
+        assert_no_child_left()
+
+
+def _send_prefix(sent):
+    """A _send_range that sends only the first `sent` bytes of its range's
+    shape and matrix, then exits 1."""
+    def send(fd, start, end, path, sink):
+        X = data._read_range(fd, start, end, path)
+        sink.write((struct.pack("=QQ", *X.shape) + X.tobytes())[:sent])
+        sink.close()
+        os._exit(1)
+    return send
+
+
+@pytest.mark.parametrize("sent", [0, 16, 24])
+def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
+    # each child exits 1 before it writes anything, after the shape, or
+    # after one value; this process parses its own range, then the whole
+    # file, and reaps both children
+    X = np.random.default_rng(4).normal(size=(300, 5))
+    p = str(tmp_path / "f.csv")
+    save_features(p, X)
+    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    forks = allow_cpus(monkeypatch, 3)
+    monkeypatch.setattr(data, "_send_range", _send_prefix(sent))
+    parses = []
+    real_parse = data._read_csv_lines
+    monkeypatch.setattr(data, "_read_csv_lines",
+                        lambda fh, path: parses.append(path) or real_parse(fh, path))
     assert load_features(p).tobytes() == X.tobytes()
+    assert len(forks) == 2 and len(parses) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("raw", [
+    b"1.5,2.5\n3.5,4.5\n5,6,7\n8,9,1\n",   # the second range is all wider
+    b"1,2\n3,4\n5,6\n7,x\n",               # a bad value in the second range
+    b"1,2\n3,4\n5,6\n7,\xff\n"])           # bytes that are not UTF-8 there
+def test_split_load_errors_are_the_one_process_errors(tmp_path, monkeypatch, raw):
+    # a range's own parse numbers rows from its start; the error raised is
+    # the whole file's, row numbers and all
+    p = tmp_path / "f.csv"
+    p.write_bytes(raw)
+    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    allow_cpus(monkeypatch, 1)
+    with pytest.raises(ParseError) as one:
+        load_features(str(p))
+    forks = allow_cpus(monkeypatch, 2)
+    with pytest.raises(ParseError) as split:
+        load_features(str(p))
+    assert str(split.value) == str(one.value) and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_split_ranges_cut_after_a_newline(tmp_path):
+    # a cut falls just after the first "\n" at or after an equal share,
+    # never inside a "\r\n" nor after a lone "\r"; a file whose one newline
+    # ends it, or with none, is one range
+    p = tmp_path / "f.csv"
+    for raw, parts, ranges in [
+            (b"10\r\n2\r\n3\r\n", 2, [(0, 7), (7, 10)]),
+            (b"11\r22\n33\n", 3, [(0, 6), (6, 9)]),
+            (b"1\n\n\n\n\n\n", 4, [(0, 2), (2, 4), (4, 6), (6, 7)]),
+            (b"1,2,3\n", 2, [(0, 6)]),
+            (b"1,2,3", 4, [(0, 5)])]:
+        p.write_bytes(raw)
+        with open(p, "rb") as fh:
+            assert data._csv_ranges(fh.fileno(), len(raw), parts) == ranges
 
 
 def test_binary_round_trip_bitwise(tmp_path):

@@ -1,7 +1,8 @@
 """Property tests for the file boundaries.
 
-Feature (CSV and binary) and label files round-trip bit for bit, and
-malformed CSV, binary, label and model files make `pas fit`,
+Feature (CSV and binary) and label files round-trip bit for bit, a CSV
+read split across processes gives the one-process read's matrix or
+error, and malformed CSV, binary, label and model files make `pas fit`,
 `pas predict` and `pas diagnose` exit with 2 or 3, writing nothing.  Each
 malformed file is a valid one with one defect, so every example is
 malformed by construction.  The numeric flags of `pas fit`,
@@ -15,6 +16,7 @@ import json
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pas import data
 from pas.cli import main
 from pas.data import (
     LABEL_MAX,
@@ -59,6 +62,62 @@ def test_labels_round_trip(labels):
         path = os.path.join(tmp, "labels")
         save_labels(path, np.array(labels, dtype=np.int64))
         assert load_labels(path).tolist() == labels
+
+
+# lines a CSV read skips, and cells that make a row malformed, not UTF-8,
+# not finite or ragged, or that parse with their whitespace
+SKIPPED_LINES = [b"", b" ", b"\t \x0b"]
+ODD_CELLS = [b"x", b"", b"\xff", b"\xe2\x82", b"nan", b"-inf", b" 2.5 ", b"1e3\t", b"1,2"]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes: rows of one width with up to two odd cells, skipped lines
+    between them, and each line ended by "\n", "\r\n" or a lone "\r",
+    the last one maybe by nothing."""
+    width = draw(st.integers(1, 3))
+    cell = st.floats(allow_nan=False, allow_infinity=False, width=32).map(
+        lambda value: repr(value).encode())
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         min_size=1, max_size=40))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(ODD_CELLS))
+    lines = [b",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SKIPPED_LINES)))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    raw = b"".join(line + end for line, end in zip(lines, ends))
+    return raw if draw(st.booleans()) else raw[:len(raw) - len(ends[-1])]
+
+
+def load_outcome(path, cpus):
+    """The matrix's shape and bytes, or the error's type and message, of a
+    load on `cpus` CPUs; no child process is left after it."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        try:
+            X = load_features(path)
+            outcome = (X.shape, X.tobytes())
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome
+
+
+@ROUND_TRIP
+@given(raw=csv_files(), cpus=st.integers(2, 4))
+def test_split_csv_load_matches_one_process(raw, cpus):
+    # with the floor at one byte every file of more than one line is cut
+    # into up to `cpus` ranges, which start and end at skipped lines, CRLFs
+    # and odd cells; the one-process read is the oracle
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "CSV_SPLIT_BYTES", 1):
+        path = os.path.join(tmp, "x.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        assert load_outcome(path, cpus) == load_outcome(path, 1)
 
 
 # --- malformed inputs -------------------------------------------------------
