@@ -8,8 +8,8 @@ errors and inputs too large for memory, 3 dimension mismatch.
 """
 
 import argparse
-import collections
 import json
+import pickle
 import sys
 
 import numpy as np
@@ -131,43 +131,42 @@ def _bench_one(suite, seed):
     return out
 
 
+def _send_seeds(share, sink, suite):
+    """In a forked child: pickle (result, None) for each seed of the range
+    share to sink, flushed at once, or (None, exc) for the first that
+    raises; a full pipe stops this child until the parent reads."""
+    for seed in share:
+        try:
+            pickle.dump((_bench_one(suite, seed), None), sink)
+        except Exception as exc:
+            pickle.dump((None, exc), sink)
+            return
+        sink.flush()
+
+
 def _bench_results(suite, seeds):
     """Yield _bench_one(suite, seed) for seeds 0, 1, ..., in seed order.
 
-    The seeds are independent fits, so they run in forked worker
-    processes: one per CPU this process may run on, and at most one per
-    seed.  With one worker they run in this process, with no fork.  A
-    seed's fit is the same computation in any process, so its results
-    are bitwise the same at any worker count.
+    The seeds are independent fits, run in w processes, one per usable CPU
+    and at most one per seed: this one runs seeds 0, w, 2w, ... and forked
+    child i seeds i, i + w, ....  A seed's fit is the same computation in
+    any process, so its results are bitwise the same at any worker count.
     """
-    workers = min(data.usable_cpus(), seeds)
-    if workers == 1:
+    w = min(data.usable_cpus(), seeds)
+    shares = [range(i, seeds, w) for i in range(1, w)]
+    with data.forked(_send_seeds, shares, suite) as sources:
         for seed in range(seeds):
-            yield _bench_one(suite, seed)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        # two seeds queued per worker keep every worker busy while results
-        # are taken in order, and a huge --seeds queues no more than that
-        queued = collections.deque()
-        try:
-            for seed in range(seeds):
-                queued.append(pool.submit(_bench_one, suite, seed))
-                if len(queued) == 2 * workers:
-                    yield queued.popleft().result()
-            while queued:
-                yield queued.popleft().result()
-        except BrokenProcessPool as exc:
-            raise PasError("a bench worker process died: %s" % exc) from None
-        finally:
-            # seeds not yet started never start; the pool's exit waits for
-            # the running ones and joins every worker
-            for future in queued:
-                future.cancel()
+            if seed % w == 0:
+                yield _bench_one(suite, seed)
+                continue
+            try:
+                result, exc = pickle.load(sources[seed % w - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise PasError("a bench worker process died: seed %d "
+                               "was not sent" % seed) from None
+            if exc is not None:
+                raise exc
+            yield result
 
 
 def cmd_bench(args):

@@ -275,10 +275,11 @@ def lambda_for_fraction(c, fraction):
     t = int(math.ceil(fraction * c.size - 1e-9))
     if t <= 0:
         return 0.0
-    s = np.sort(c)
-    u = s[t - 1]
-    bigger = s[s > u]
-    return float(bigger[0]) if bigger.size else float(u * (1.0 + 1e-9) + 1e-12)
+    # the t-th smallest value; every value above it lies after index t - 1
+    s = np.partition(c, t - 1)
+    u, rest = s[t - 1], s[t:]
+    bigger = rest[rest > u]
+    return float(bigger.min()) if bigger.size else float(u * (1.0 + 1e-9) + 1e-12)
 
 
 def _objective_value(source_total, c, v, lam):

@@ -125,13 +125,13 @@ def load_features(path):
     Its matrix, or the error it raises, is that of the one-process read.
     """
     with open(path, "rb") as fh:
-        if fh.read(4) == b"PASM":
+        if fh.peek(4)[:4] == b"PASM":
             X = _read_pasm(fh, path)
         else:
             X = _read_csv_split(fh, path)
-    if X is None:
-        with open(path) as fh:
-            X = _read_csv_lines(fh, path)
+            if X is None:
+                with io.TextIOWrapper(fh) as text:
+                    X = _read_csv_lines(text, path)
     return check_matrix(X, path)
 
 
@@ -209,18 +209,43 @@ def _line_start_after(fd, pos, size):
     return size
 
 
-def _send_range(fd, start, end, path, sink):
-    """In a forked child: write the shape and float64 bytes of the range's
-    matrix to sink, then exit 0; on any failure exit 1."""
-    status = 1
+@contextlib.contextmanager
+def forked(send, shares, *args):
+    """Fork one child per share, each running send(share, sink, *args) into
+    the write end of its own pipe, with no read end open, then os._exit;
+    yield the read ends, in share order.  On exit every child is killed and
+    reaped (killing one that has exited is harmless).  A child's next write
+    fails once this process is gone, so no child outlives it for long."""
+    pids, sources = [], []
     try:
-        X = _read_range(fd, start, end, path)
-        sink.write(struct.pack("=QQ", *X.shape))
-        sink.write(X)
-        sink.close()
-        status = 0
+        for share in shares:
+            read_end, write_end = os.pipe()
+            sources.append(open(read_end, "rb"))
+            with open(write_end, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for source in sources:
+                            source.close()
+                        send(share, sink, *args)
+                        sink.flush()
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+        yield sources
     finally:
-        os._exit(status)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for source in sources:
+            source.close()
+
+
+def _send_range(share, sink, fd, path):
+    """In a forked child: write byte range share's matrix, shape first."""
+    X = _read_range(fd, *share, path)
+    sink.write(struct.pack("=QQ", *X.shape))
+    sink.write(X)
 
 
 def _read_csv_split(fh, path):
@@ -239,18 +264,8 @@ def _read_csv_split(fh, path):
     ranges = _csv_ranges(fd, info.st_size, parts)
     if len(ranges) < 2:
         return None
-    pids = []
     try:
-        with contextlib.ExitStack() as pipes:
-            sources = []
-            for start, end in ranges[1:]:
-                read_end, write_end = os.pipe()
-                sources.append(pipes.enter_context(open(read_end, "rb")))
-                with open(write_end, "wb") as sink:
-                    pid = os.fork()
-                    if pid == 0:
-                        _send_range(fd, start, end, path, sink)
-                    pids.append(pid)
+        with forked(_send_range, ranges[1:], fd, path) as sources:
             first = _read_range(fd, *ranges[0], path)
             shapes = [first.shape]
             for src in sources:
@@ -269,27 +284,18 @@ def _read_csv_split(fh, path):
                 if src.readinto(block) != block.nbytes:
                     return None
                 row += rows
-        # every child has sent all its bytes, so it ends without a kill
-        for pid in pids:
-            os.waitpid(pid, 0)
-        pids = []
-        return X
+            return X
     except (ParseError, OSError, MemoryError):
         return None
-    finally:
-        # a child not yet reaped is killed: its range is not needed
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _read_pasm(fh, path):
-    """The n x d matrix of a PASM file whose magic fh has just read, read
-    straight into the result after the size is checked against the file's."""
+    """The n x d matrix of the PASM file open as fh, read straight into
+    the result after the size is checked against the file's."""
     size = os.fstat(fh.fileno()).st_size
     if size < 12:
         raise ParseError("%s: PASM header shorter than 12 bytes" % path)
-    n, d = struct.unpack("<II", fh.read(8))
+    _, n, d = struct.unpack("<4sII", fh.read(12))
     expected = 12 + n * d * 8
     if size != expected:
         raise ParseError("%s: expected %d bytes, got %d" % (path, expected, size))

@@ -1,10 +1,10 @@
 import json
-import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from pas import cli
 from pas.cli import main
 from pas.data import load_features, load_labels, save_features
 from pas.errors import ParseError
+from test_data import assert_no_child_left
 
 
 def synth_args(prefix, classes=3, dim=5, per_class=20, rotation=0.3,
@@ -395,17 +396,19 @@ def _bench_csv(tmp_path, monkeypatch, suite, cpus, capsys, seeds=8):
 @pytest.mark.parametrize("suite", ["closed", "pda"])
 def test_bench_is_byte_identical_at_any_worker_count(tmp_path, monkeypatch, capsys,
                                                      suite):
-    # one CPU maps the seeds in-process; four CPUs fork four workers for
-    # the eight seeds
+    # one CPU runs the seeds in this process; two and four CPUs fork one
+    # and three children, and this process runs its own share of the seeds
     csv, means, forks = _bench_csv(tmp_path, monkeypatch, suite, {3}, capsys)
     assert forks == 0
-    assert _bench_csv(tmp_path, monkeypatch, suite, range(4), capsys) == (csv, means, 4)
+    for cpus in (2, 4):
+        got = _bench_csv(tmp_path, monkeypatch, suite, range(cpus), capsys)
+        assert got == (csv, means, cpus - 1)
     oracle = [(method, seed, accuracy) for seed in range(8)
               for method, accuracy in cli._bench_one(suite, seed).items()]
     lines = csv.decode().splitlines()
     assert lines[0] == "method,seed,accuracy"
     assert lines[1:] == ["%s,%d,%r" % row for row in sorted(oracle)]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_bench_without_affinity_runs_in_process(tmp_path, monkeypatch, capsys):
@@ -415,58 +418,97 @@ def test_bench_without_affinity_runs_in_process(tmp_path, monkeypatch, capsys):
     assert got[2] == 0
 
 
-# bench seeds that fail on seed 3; module functions, so that a forked
-# worker can be sent them by name
+# bench seeds that fail on seed 3, in the child's share at two CPUs, or on
+# seed 2, in this process's share.  A seed from 10^5 on fails with a
+# message of its own, so a bench that runs that far ahead of the failing
+# seed fails the message check
+def _below_run_ahead(seed):
+    if seed >= 10**5:
+        raise ParseError("pas bench ran ahead to seed %d" % seed)
+    return {"pas": 1.0}
+
+
 def _parse_error_on_seed_3(suite, seed):
     if seed == 3:
         raise ParseError("bench input for seed 3 is malformed")
-    return {"pas": 1.0}
+    return _below_run_ahead(seed)
 
 
 def _memory_error_on_seed_3(suite, seed):
     if seed == 3:
         raise MemoryError("Unable to allocate 7.28 TiB")
-    return {"pas": 1.0}
+    return _below_run_ahead(seed)
 
 
 def _worker_exit_on_seed_3(suite, seed):
     if seed == 3:
         os._exit(1)
-    return {"pas": 1.0}
+    return _below_run_ahead(seed)
+
+
+def _parse_error_on_seed_2(suite, seed):
+    if seed == 2:
+        raise ParseError("bench input for seed 2 is malformed")
+    return _below_run_ahead(seed)
 
 
 @pytest.mark.parametrize("fail, message", [
     (_parse_error_on_seed_3, "error: bench input for seed 3 is malformed\n"),
     (_memory_error_on_seed_3, "error: Unable to allocate 7.28 TiB\n"),
     (_worker_exit_on_seed_3, "error: a bench worker process died: "),
+    (_parse_error_on_seed_2, "error: bench input for seed 2 is malformed\n"),
 ])
 def test_bench_worker_failure_exit_2(tmp_path, monkeypatch, capfd, fail, message):
-    # a worker's error re-raises in the parent and a worker that dies is
+    # a child's error re-raises in this process and a child that dies is
     # an error; either way the bench writes nothing, prints no traceback
-    # (capfd sees the workers' output too) and leaves no worker running.
-    # Only a few seeds are queued at a time, so a bench of 10^12 seeds
-    # ends as soon as seed 3 fails
+    # (capfd sees the children's output too) and leaves no child running.
+    # A bench of 10^12 seeds ends as soon as its failing seed is reached
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli, "_bench_one", fail)
-    submitted = []
-    real_submit = ProcessPoolExecutor.submit
+    statuses = []
+    real_waitpid = os.waitpid
 
-    def submit(pool, fn, *args):
-        # stop a bench that queues every seed before it fills memory
-        assert len(submitted) < 100, "pas bench queued seeds without bound"
-        submitted.append(args)
-        return real_submit(pool, fn, *args)
+    def waitpid(pid, options):
+        got = real_waitpid(pid, options)
+        statuses.append(got[1])
+        return got
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     start = time.perf_counter()
     assert main(["bench", "--suite", "pda", "--seeds", str(10**12),
                  "--out-csv", str(tmp_path / "b.csv")]) == 2
     assert time.perf_counter() - start < 30
-    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert_no_child_left()
+    assert len(statuses) == 1
+    if fail is _parse_error_on_seed_2:
+        # the child, stopped by its full pipe long before seed 10^5, is killed
+        assert os.WIFSIGNALED(statuses[0])
+        assert os.WTERMSIG(statuses[0]) == signal.SIGKILL
     assert os.listdir(tmp_path) == []
     captured = capfd.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def _send_half_of_seed_3(share, sink, suite):
+    # a child that dies while it writes seed 3's result
+    pickle.dump(({"pas": 1.0}, None), sink)
+    sink.write(pickle.dumps(({"pas": 1.0}, None))[:20])
+    sink.flush()
+    os._exit(1)
+
+
+def test_bench_worker_dying_mid_write_exit_2(tmp_path, monkeypatch, capfd):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_bench_one", lambda suite, seed: {"pas": 1.0})
+    monkeypatch.setattr(cli, "_send_seeds", _send_half_of_seed_3)
+    assert main(["bench", "--suite", "pda", "--seeds", "4",
+                 "--out-csv", str(tmp_path / "b.csv")]) == 2
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []
+    assert capfd.readouterr().err == (
+        "error: a bench worker process died: seed 3 was not sent\n")
 
 
 def test_bench_bad_seeds_exit_2(tmp_path):
@@ -582,8 +624,43 @@ def test_console_entry_point(tmp_path):
     assert os.path.exists(prefix + "_source.csv")
 
 
+PIPE_PROBE = """
+import sys
+
+from pas.data import load_features
+
+sys.stdout.buffer.write(load_features("/dev/stdin").tobytes())
+"""
+
+
+def test_piped_features_load_as_the_file(tmp_path):
+    # a pipe's bytes can be read once: a piped CSV of many 8 KB buffers
+    # loads, and predicts, as the file does
+    prefix = make_data(tmp_path, per_class=300)
+    model, _ = run_fit(tmp_path, prefix)
+    target = prefix + "_target.csv"
+    with open(target, "rb") as fh:
+        raw = fh.read()
+    assert len(raw) > 8 << 10
+    result = subprocess.run([sys.executable, "-W", "error", "-c", PIPE_PROBE],
+                            input=raw, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == load_features(target).tobytes()
+    out = str(tmp_path / "pred.txt")
+    assert main(["predict", "--model", model, "--features", target,
+                 "--out", out]) == 0
+    piped = str(tmp_path / "piped.txt")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pas.cli", "predict", "--model",
+         model, "--features", "/dev/stdin", "--out", piped],
+        input=raw, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    with open(piped, "rb") as got, open(out, "rb") as want:
+        assert got.read() == want.read()
+
+
 # run in one fresh interpreter: which scipy modules each command loads,
-# and that only pas bench, which forks its workers, loads multiprocessing
+# and that none loads multiprocessing, also where it forks children
 IMPORT_PROBE = """
 import os
 import sys
@@ -628,14 +705,23 @@ assert main(["fit", "--source", prefix + "_source.csv", "--labels",
              "--trace-csv", prefix + "_trace.csv"]) == 0
 assert loaded("scipy.linalg") and not loaded("scipy.spatial"), "pas fit"
 assert not loaded("multiprocessing"), "pas fit"
+# a bench allowed four CPUs forks three children; scipy.linalg imports
+# the concurrent.futures package, not its process pool
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+forks.clear()
+assert main(["bench", "--suite", "pda", "--seeds", "4",
+             "--out-csv", prefix + "_bench.csv"]) == 0
+assert len(forks) == 3, "pas bench"
+assert not loaded("multiprocessing"), "pas bench"
+assert not loaded("concurrent.futures.process"), "pas bench"
 """
 
 
 def test_commands_load_only_the_scipy_they_use(tmp_path):
     # importing pas, pas synth and pas predict load no scipy, also when
     # predict parses its CSV in forked children; pas fit loads scipy.linalg
-    # for its eigensolver and no scipy.spatial; none of them loads
-    # multiprocessing
+    # for its eigensolver and no scipy.spatial; none of them, nor a pas
+    # bench that forks, loads multiprocessing
     result = subprocess.run(
         [sys.executable, "-W", "error", "-c", IMPORT_PROBE, str(tmp_path / "d")],
         capture_output=True, text=True)

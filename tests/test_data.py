@@ -1,5 +1,9 @@
 import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -176,20 +180,21 @@ def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fm
 
 def _send_prefix(sent):
     """A _send_range that sends only the first `sent` bytes of its range's
-    shape and matrix, then exits 1."""
-    def send(fd, start, end, path, sink):
-        X = data._read_range(fd, start, end, path)
+    shape and matrix (all of them for None), then exits 1."""
+    def send(share, sink, fd, path):
+        X = data._read_range(fd, *share, path)
         sink.write((struct.pack("=QQ", *X.shape) + X.tobytes())[:sent])
         sink.close()
         os._exit(1)
     return send
 
 
-@pytest.mark.parametrize("sent", [0, 16, 24])
+@pytest.mark.parametrize("sent", [0, 16, 24, None])
 def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
     # each child exits 1 before it writes anything, after the shape, or
     # after one value; this process parses its own range, then the whole
-    # file, and reaps both children
+    # file, and reaps both children.  Children that exit 1 after sending
+    # all their bytes are read, with no second parse: the fake runs
     X = np.random.default_rng(4).normal(size=(300, 5))
     p = str(tmp_path / "f.csv")
     save_features(p, X)
@@ -201,8 +206,63 @@ def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
     monkeypatch.setattr(data, "_read_csv_lines",
                         lambda fh, path: parses.append(path) or real_parse(fh, path))
     assert load_features(p).tobytes() == X.tobytes()
-    assert len(forks) == 2 and len(parses) == 2
+    assert len(forks) == 2 and len(parses) == (1 if sent is None else 2)
     assert_no_child_left()
+
+
+# forks one child that writes without end, then sleeps; prints its pid
+ORPHAN_PROBE = """
+import os
+import time
+
+from pas import data
+
+real_fork = os.fork
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+def send(share, sink):
+    while True:
+        sink.write(bytes(1 << 16))
+
+
+os.fork = fork
+with data.forked(send, [0]):
+    time.sleep(60)
+"""
+
+
+def _running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_forked_child_ends_when_its_parent_is_killed():
+    # a child stopped by its full pipe holds no read end of that pipe, so
+    # its write fails once the process that forked it is killed (as by
+    # SIGKILL or SIGTERM, which run no cleanup) and it ends
+    with subprocess.Popen([sys.executable, "-c", ORPHAN_PROBE],
+                          stdout=subprocess.PIPE) as parent:
+        child = int(parent.stdout.readline())
+        parent.kill()
+    deadline = time.monotonic() + 10
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = _running(child)
+    if alive:
+        os.kill(child, signal.SIGKILL)
+    assert not alive
 
 
 @pytest.mark.parametrize("raw", [

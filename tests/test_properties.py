@@ -547,6 +547,33 @@ def test_refit_picks_the_one_hot_rows(seed, K, m, share, moved):
         previous = oracle
 
 
+def sorted_threshold(c, fraction):
+    """lambda_for_fraction's threshold read off a full sort: the smallest
+    value above the t-th smallest, else just above the largest."""
+    t = int(np.ceil(fraction * c.size - 1e-9))
+    if t <= 0:
+        return 0.0
+    s = np.sort(c)
+    bigger = s[s > s[t - 1]]
+    return float(bigger[0]) if bigger.size else float(s[t - 1] * (1.0 + 1e-9) + 1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2000),
+       distinct=st.integers(1, 60), decimals=st.integers(0, 3),
+       scale=st.sampled_from([1e-300, 1.0, 1e300]), k=st.integers(0, 2000),
+       exact=st.booleans())
+def test_lambda_for_fraction_matches_sort_oracle(seed, m, distinct, decimals,
+                                                 scale, k, exact):
+    # m distances drawn from a few values, rounded so that zeros and ties
+    # are common; an exact fraction k/m puts the t-th value on a tie's edge
+    rng = np.random.default_rng(seed)
+    pool = np.round(rng.uniform(0, 1, size=distinct), decimals) * scale
+    c = rng.choice(pool, size=m)
+    fraction = min(k, m) / m if exact else float(rng.uniform())
+    assert repr(lambda_for_fraction(c, fraction)) == repr(sorted_threshold(c, fraction))
+
+
 def test_state_checked_once_per_public_call(monkeypatch):
     calls = []
     check = core._check_state
