@@ -5,9 +5,14 @@ import numpy as np
 from .core import PasConfig, PasModel, SourceLabels, fit_class_subspaces
 from .errors import EmptySelection, check_labels, check_matrix
 
-# target rows per score block: memory stays at NN1_CHUNK_ROWS x n scores
-# instead of m x n distances
+# target rows per score block and source rows per tile: memory stays at
+# one NN1_CHUNK_ROWS x NN1_TILE_COLS tile of scores instead of m x n
+# distances
 NN1_CHUNK_ROWS = 1024
+# on 10,000 target rows at d = 64, 2,048 columns took the time of 4,096 with
+# half the tile, and less than 512, 1,024 or one 1,024 x n block
+# (BENCH_nn1_tiles.json)
+NN1_TILE_COLS = 2048
 
 # Tie bound on the scores ||s'||^2 - 2t''s', where t' = 2^k (2^k_raw t - mu)
 # and s' = 2^k (2^k_raw s - mu): the recheck's rows, scaled by 2^k_raw
@@ -17,9 +22,9 @@ NN1_CHUNK_ROWS = 1024
 # column over the scaled targets and source, 2||span|| bounds every R, and
 # 2^k puts it in [2^59, 2^60), so R' stays below 2^60 (to the rounding of
 # the norm) and no score, product or partial sum reaches 2^121: nothing
-# overflows float32.  One GEMM of [-2t', 1] against [s', ||s'||^2] gives
-# the scores in the precision of the call, with eps = 2u and a its smallest
-# normal.  A row whose runner-up score lies beyond
+# overflows float32.  GEMMs of [-2t', 1] against tiles of [s', ||s'||^2]
+# give the scores in the precision of the call, with eps = 2u and a its
+# smallest normal.  A row whose runner-up score lies beyond
 #     NN1_TIE_REL * ((d + 4) * eps * R'^2 + (d + 1) * a * (R' + 1))
 # of its best has a cdist distance to the best strictly below every
 # other's.  Each score is off, to first order, by at most
@@ -41,7 +46,10 @@ NN1_CHUNK_ROWS = 1024
 # (d + 4) * eps * R'^2 for the float64 terms, and
 # 4 sqrt(d) * a * R' + (4d + 6) * a: both under 6 times the bracket above,
 # so NN1_TIE_REL leaves room for the second-order terms and the rounding of
-# R' itself.
+# R' itself.  Each term bounds one score on its own, in any summation
+# order, so the bound also holds when the best and another score come from
+# different BLAS calls: two tiles' GEMMs, or a GEMM and the recheck's
+# product of one row against every source row.
 NN1_TIE_REL = 8.0
 
 
@@ -67,37 +75,52 @@ def _best_two(score):
 
 def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
     """Score the target rows X_t[rows] in dtype, NN1_CHUNK_ROWS at a time,
-    into one block buffer, against S1 = [s', ||s'||^2] at the scales 2^k_raw
-    and 2^k (NN1_TIE_REL), and set nearest to each row's best.
+    against S1 = [s', ||s'||^2] at the scales 2^k_raw and 2^k
+    (NN1_TIE_REL), in tiles of NN1_TILE_COLS source rows scored into one
+    tile buffer, and set nearest to each row's best.
 
     Yields per block its rows, the positions in it of the rows whose
-    runner-up lies within the tie bound, the block's scores (overwritten by
-    the next block) and each row's best score plus its bound."""
+    runner-up lies within the tie bound, the block's left operand
+    [-2t', 1] (overwritten by the next block) and each row's best score
+    plus its bound."""
     n, d = S1.shape[0], S1.shape[1] - 1
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).tiny)
     s_norm_max = np.sqrt(S1[:, d].max())
     S = S1.astype(dtype, copy=False)
     T = np.ones((min(NN1_CHUNK_ROWS, rows.size), d + 1), dtype=dtype)
     t = np.empty((T.shape[0], d))
-    scores = np.empty((T.shape[0], n), dtype=dtype)
+    tile = np.empty(T.shape[0] * min(NN1_TILE_COLS, n), dtype=dtype)
     for start in range(0, rows.size, NN1_CHUNK_ROWS):
         block = rows[start:start + NN1_CHUNK_ROWS]
         b = block.size
-        score = scores[:b]
         # t scaled by 2^k_raw is the recheck's row; mu - t and the scaling
         # by 2^(k + 1) are exact, so the product adds -2t''s' to ||s'||^2 as
         # cast; take's default mode would copy through a second buffer
         np.take(X_t, block, axis=0, out=t[:b], mode="clip")
         np.ldexp(t[:b], k_raw, out=t[:b])
         T[:b, :d] = np.ldexp(np.subtract(mu, t[:b], out=t[:b]), k + 1, out=t[:b])
-        np.matmul(T[:b], S.T, out=score)
-        best, best_score, runner_up = _best_two(score)
+        best = np.zeros(b, dtype=np.intp)
+        best_score, runner_up = np.full(b, np.inf), np.full(b, np.inf)
+        for j in range(0, n, NN1_TILE_COLS):
+            # contiguous at any width: into a strided view, matmul would
+            # compute a temporary and copy it
+            score = tile[:b * min(NN1_TILE_COLS, n - j)].reshape(b, -1)
+            np.matmul(T[:b], S[j:j + NN1_TILE_COLS].T, out=score)
+            i, s, r = _best_two(score)
+            # a tile's best wins only on a strictly lower score, so ties go
+            # to the lowest index; the runner-up takes the lower of the two
+            # bests and both runners-up, so a NaN anywhere reaches it
+            won = s < best_score
+            np.minimum(runner_up, r, out=runner_up)
+            np.minimum(runner_up, np.where(won, best_score, s), out=runner_up)
+            best[won] = i[won] + j
+            best_score[won] = s[won]
         # R' = ||t'|| + max ||s'||, with t[:b] = -2t'
         R = 0.5 * np.sqrt(np.einsum("ij,ij->i", t[:b], t[:b])) + s_norm_max
         tau = NN1_TIE_REL * ((d + 4) * eps * R ** 2 + (d + 1) * tiny * (R + 1.0))
         nearest[block] = best
         # written as "not beyond" so that a NaN is never taken as decided
-        yield (block, np.flatnonzero(~(runner_up - best_score > tau)), score,
+        yield (block, np.flatnonzero(~(runner_up - best_score > tau)), T[:b],
                best_score + tau)
 
 
@@ -117,14 +140,17 @@ def nn1_classify(source, X_t):
     1. in float32, on every target row; a row whose runner-up lies beyond
        the float32 tie bound of NN1_TIE_REL keeps its best;
     2. in float64, on the other rows; a row still within the float64 bound
-       is decided by cdist against every source row within the bound of
+       is rescored against every source row in one product of n scores,
+       and decided by cdist against every source row within the bound of
        its best.
 
-    Each pass scores NN1_CHUNK_ROWS target rows at a time into one block
-    buffer, freed before the next pass, so memory stays at one
-    NN1_CHUNK_ROWS x n float64 block.  An empty source raises
-    EmptySelection, and a label count other than one per source row
-    RangeError.
+    Each pass scores NN1_CHUNK_ROWS target rows at a time against tiles of
+    NN1_TILE_COLS source rows, into one tile buffer freed before the next
+    pass, and keeps each row's best index, best score and runner-up score
+    across the tiles.  Memory stays at the scaled source, its float32 copy
+    and one NN1_CHUNK_ROWS x NN1_TILE_COLS float64 tile, whatever m and n.
+    An empty source raises EmptySelection, and a label count other than
+    one per source row RangeError.
     """
     X_s = check_matrix(source.features, "source features")
     X_t = check_matrix(X_t, "target features", width=X_s.shape[1])
@@ -162,9 +188,10 @@ def nn1_classify(source, X_t):
 
     undecided = np.concatenate([block[tied] for block, tied, _, _ in
                                 _score_blocks(np.float32, np.arange(m), *args)])
-    for block, tied, score, bound in _score_blocks(np.float64, undecided, *args):
+    for block, tied, T, bound in _score_blocks(np.float64, undecided, *args):
         for i in tied:
-            recheck(block[i], np.flatnonzero(~(score[i] > bound[i])))
+            # one product rescores the row against every source row
+            recheck(block[i], np.flatnonzero(~(S1 @ T[i] > bound[i])))
     return labels[nearest]
 
 

@@ -231,6 +231,20 @@ def test_nn1_memory_is_one_float64_block(translation):
     assert traced_peak(lambda: nn1_classify(src, X_t)) <= block + 4 * n * d * 8
 
 
+@pytest.mark.parametrize("n", [10_000, 40_000])
+def test_nn1_memory_is_the_source_and_one_tile(n):
+    # the scaled source and its float32 copy, then one float64 tile and a
+    # block of target rows: the same bound at both n, where one 1,024 x n
+    # block of float32 scores would reach 41 MB at n = 10,000
+    m, d = 2048, 64
+    rng = np.random.default_rng(7)
+    src = labeled(rng.normal(size=(n, d)), np.arange(n) % 10)
+    X_t = rng.normal(size=(m, d)) + 0.3
+    chunk, tile = pas.baselines.NN1_CHUNK_ROWS, pas.baselines.NN1_TILE_COLS
+    bound = 2 * n * d * 8 + chunk * (tile + 2 * d + 1) * 8
+    assert traced_peak(lambda: nn1_classify(src, X_t)) <= bound
+
+
 def test_predict_memory_is_linear_in_rows():
     # predict holds the centred rows and a few (m, K + R) products, R the
     # basis columns of all classes, never an (m, K, d) or (m, n) array

@@ -14,7 +14,7 @@ from pas import cli
 from pas.cli import main
 from pas.data import load_features, load_labels, save_features
 from pas.errors import ParseError
-from test_data import assert_no_child_left
+from conftest import assert_no_child_left, read_text
 
 
 def synth_args(prefix, classes=3, dim=5, per_class=20, rotation=0.3,
@@ -62,7 +62,7 @@ def test_synth_writes_four_files(tmp_path):
 def test_fit_zero_shift_final_pseudo_acc_is_one(tmp_path):
     prefix = make_data(tmp_path, rotation=0.0, translation=0.0, noise=0.0)
     _, trace = run_fit(tmp_path, prefix)
-    lines = open(trace).read().strip().split("\n")
+    lines = read_text(trace).strip().split("\n")
     assert lines[0] == "stage,fraction,lambda,anchored,objective,pseudo_acc"
     assert lines[-1].split(",")[-1] == "1.0"
 
@@ -70,17 +70,17 @@ def test_fit_zero_shift_final_pseudo_acc_is_one(tmp_path):
 def test_fit_step_one_gives_two_stages(tmp_path):
     prefix = make_data(tmp_path)
     _, trace = run_fit(tmp_path, prefix, step="1.0")
-    lines = open(trace).read().strip().split("\n")
+    lines = read_text(trace).strip().split("\n")
     assert len(lines) == 3  # header + 2 stages
 
 
 def test_fit_rerun_byte_identical(tmp_path):
     prefix = make_data(tmp_path)
     model1, trace1 = run_fit(tmp_path, prefix)
-    m1, t1 = open(model1, "rb").read(), open(trace1, "rb").read()
+    m1, t1 = read_text(model1, "rb"), read_text(trace1, "rb")
     model2, trace2 = run_fit(tmp_path, prefix)
-    assert open(model2, "rb").read() == m1
-    assert open(trace2, "rb").read() == t1
+    assert read_text(model2, "rb") == m1
+    assert read_text(trace2, "rb") == t1
 
 
 def test_predict_round_trips_with_library(tmp_path):
@@ -103,7 +103,7 @@ def test_predict_matches_final_trace_accuracy(tmp_path):
           "--features", prefix + "_target.csv", "--out", out])
     pred = load_labels(out)
     truth = load_labels(prefix + "_target_labels.csv")
-    final_acc = float(open(trace).read().strip().split("\n")[-1].split(",")[-1])
+    final_acc = float(read_text(trace).strip().split("\n")[-1].split(",")[-1])
     assert float(np.mean(pred == truth)) == pytest.approx(final_acc)
 
 
@@ -122,10 +122,11 @@ def test_fit_and_predict_reject_underscore_digits_exit_2(tmp_path):
     # float() reads "1_0" as 10; the feature CSV syntax does not
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")
-    lines = open(prefix + "_target.csv").read().split("\n")
+    lines = read_text(prefix + "_target.csv").split("\n")
     lines[3] = "1_0," + lines[3].split(",", 1)[1]
     bad = str(tmp_path / "bad.csv")
-    open(bad, "w").write("\n".join(lines))
+    with open(bad, "w") as fh:
+        fh.write("\n".join(lines))
     out, new_model = str(tmp_path / "pred.txt"), str(tmp_path / "m2.json")
     assert main(["predict", "--model", model, "--features", bad,
                  "--out", out]) == 2
@@ -140,10 +141,11 @@ def test_fit_and_predict_reject_underscore_digits_exit_2(tmp_path):
 def test_fit_rejects_non_ascii_digit_labels_exit_2(tmp_path, token):
     # int() reads "1_0" as 10 and an Arabic-Indic one as 1
     prefix = make_data(tmp_path)
-    lines = open(prefix + "_source_labels.csv").read().split("\n")
+    lines = read_text(prefix + "_source_labels.csv").split("\n")
     lines[2] = token
     bad = str(tmp_path / "bad_labels.csv")
-    open(bad, "w", encoding="utf-8").write("\n".join(lines))
+    with open(bad, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
     new_model = str(tmp_path / "m2.json")
     assert main(["fit", "--source", prefix + "_source.csv", "--labels", bad,
                  "--target", prefix + "_target.csv", "--out-model", new_model,
@@ -155,11 +157,12 @@ def test_label_count_mismatch_exit_2(tmp_path):
     # the library checks these counts; the commands rely on it
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")
-    labels = open(prefix + "_target_labels.csv").read().split("\n")
+    labels = read_text(prefix + "_target_labels.csv").split("\n")
     for name, text in (("short.txt", "\n".join(labels[1:])),
                        ("long.txt", "0\n" + "\n".join(labels))):
         path = str(tmp_path / name)
-        open(path, "w").write(text)
+        with open(path, "w") as fh:
+            fh.write(text)
         out = str(tmp_path / "out")
         assert main(["fit", "--source", prefix + "_source.csv",
                      "--labels", prefix + "_source_labels.csv",
@@ -248,7 +251,7 @@ def test_synth_determinism_and_pda(tmp_path):
     p1 = make_data(tmp_path / "x", pda_keep="0,2", seed=7)
     p2 = make_data(tmp_path / "y", pda_keep="0,2", seed=7)
     for suffix in ("_source.csv", "_target.csv", "_target_labels.csv"):
-        assert open(p1 + suffix, "rb").read() == open(p2 + suffix, "rb").read()
+        assert read_text(p1 + suffix, "rb") == read_text(p2 + suffix, "rb")
     labels = load_labels(p1 + "_target_labels.csv")
     assert set(labels.tolist()) == {0, 2}
 
@@ -282,7 +285,7 @@ def test_fit_label_beyond_int64_exit_2(tmp_path):
 def test_fit_pseudo_acc_uses_source_label_mapping(tmp_path):
     prefix = make_data(tmp_path)
     _, trace0 = run_fit(tmp_path, prefix)
-    expected = open(trace0).read()
+    expected = read_text(trace0)
     for name in ("_source_labels.csv", "_target_labels.csv"):
         raw = load_labels(prefix + name)
         pas.save_labels(prefix + "_shifted" + name, raw + 5)
@@ -293,12 +296,12 @@ def test_fit_pseudo_acc_uses_source_label_mapping(tmp_path):
            "--target", prefix + "_target.csv", "--step", "0.25",
            "--out-model", model, "--trace-csv", trace]
     assert main(fit + ["--eval-labels", prefix + "_shifted_target_labels.csv"]) == 0
-    assert open(trace).read() == expected
+    assert read_text(trace) == expected
     # a label the source does not have is a miss
     absent = tmp_path / "absent.txt"
     absent.write_text("9\n" * load_labels(prefix + "_target_labels.csv").size)
     assert main(fit + ["--eval-labels", str(absent)]) == 0
-    rows = open(trace).read().strip().split("\n")[1:]
+    rows = read_text(trace).strip().split("\n")[1:]
     assert [row.split(",")[-1] for row in rows] == ["0.0"] * len(rows)
 
 
@@ -315,7 +318,7 @@ def test_predict_and_diagnose_use_source_label_values(tmp_path):
                  "--target", prefix + "_target.csv", "--step", "0.25",
                  "--out-model", model,
                  "--trace-csv", str(tmp_path / "trace.csv")]) == 0
-    assert json.loads(open(model).read())["label_values"] == [5, 6, 7]
+    assert json.loads(read_text(model))["label_values"] == [5, 6, 7]
     pred = str(tmp_path / "pred.txt")
     assert main(["predict", "--model", model,
                  "--features", prefix + "_target.csv", "--out", pred]) == 0
@@ -327,7 +330,7 @@ def test_predict_and_diagnose_use_source_label_values(tmp_path):
                  "--target", prefix + "_target.csv",
                  "--true-labels", prefix + "_moved_target_labels.csv",
                  "--fraction", "0.1", "--out", report]) == 0
-    doc = json.loads(open(report).read())
+    doc = json.loads(read_text(report))
     assert doc["top"]["acc"] == 1.0 and doc["bottom"]["acc"] == 1.0
 
 
@@ -335,7 +338,7 @@ def test_bench_writes_sorted_rows(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--suite", "pda", "--seeds", "2",
                  "--out-csv", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = read_text(out).strip().split("\n")
     assert lines[0] == "method,seed,accuracy"
     rows = [l.split(",") for l in lines[1:]]
     assert [(r[0], r[1]) for r in rows] == [
@@ -362,7 +365,7 @@ def test_bench_accuracies_are_pinned(tmp_path, suite, rows):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--suite", suite, "--seeds", "8",
                  "--out-csv", out]) == 0
-    got = [l.split(",") for l in open(out).read().strip().split("\n")[1:]]
+    got = [l.split(",") for l in read_text(out).strip().split("\n")[1:]]
     assert got == [[method, str(seed), repr(correct / rows)]
                    for method, counts in sorted(BENCH_CORRECT[suite].items())
                    for seed, correct in enumerate(counts)]
@@ -537,11 +540,11 @@ def test_diagnose_end_to_end(tmp_path):
                  "--true-labels", prefix + "_target_labels.csv",
                  "--fraction", "0.1",
                  "--out", out, "--out-csv", csv_out]) == 0
-    report = json.loads(open(out).read())
+    report = json.loads(read_text(out))
     assert set(report) >= {"top", "bottom", "fraction", "group_size"}
     assert 0.0 <= report["top"]["acc"] <= 1.0
     assert report["top"]["adr"] >= 0.0
-    lines = open(csv_out).read().strip().split("\n")
+    lines = read_text(csv_out).strip().split("\n")
     assert lines[0] == "method,seed,accuracy"
     assert lines[1].startswith("bottom,0,") and lines[2].startswith("top,0,")
 
@@ -557,7 +560,7 @@ def test_diagnose_rerun_byte_identical(tmp_path):
                      "--target", prefix + "_target.csv",
                      "--true-labels", prefix + "_target_labels.csv",
                      "--out", out]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(read_text(out, "rb"))
     assert outs[0] == outs[1]
 
 
@@ -610,7 +613,7 @@ def test_binary_features_give_byte_identical_outputs(tmp_path):
                      "--target", target,
                      "--true-labels", prefix + "_target_labels.csv",
                      "--out", out["report"], "--out-csv", out["report_csv"]]) == 0
-        outputs[ext] = {key: open(path, "rb").read() for key, path in out.items()}
+        outputs[ext] = {key: read_text(path, "rb") for key, path in out.items()}
     assert outputs["pasm"] == outputs["csv"]
 
 
@@ -856,7 +859,7 @@ def _label_values_null_entry(doc):
 def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
     prefix = make_data(tmp_path)
     model, _ = run_fit(tmp_path, prefix, step="1.0")
-    doc = json.loads(open(model).read())
+    doc = json.loads(read_text(model))
     corrupt(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

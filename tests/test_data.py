@@ -24,6 +24,7 @@ from pas.data import (
     synth_shifted_pair,
 )
 from pas.errors import ConfigError, NonFinite, ParseError, RangeError
+from conftest import assert_no_child_left
 from test_baselines import traced_peak
 
 
@@ -152,11 +153,6 @@ def allow_cpus(monkeypatch, count):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "bin"])

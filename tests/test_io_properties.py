@@ -33,6 +33,7 @@ from pas.data import (
     save_features,
     save_labels,
 )
+from conftest import read_text
 
 ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None)
@@ -138,8 +139,8 @@ def valid(tmp_path_factory):
                  "--trace-csv", str(tmp / "trace.csv")]) == 0
     names = {"source": "_source.csv", "labels": "_source_labels.csv",
              "target": "_target.csv", "eval": "_target_labels.csv"}
-    texts = {key: open(prefix + suffix).read() for key, suffix in names.items()}
-    texts["model"] = open(model).read()
+    texts = {key: read_text(prefix + suffix) for key, suffix in names.items()}
+    texts["model"] = read_text(model)
     return texts
 
 

@@ -655,6 +655,58 @@ def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, scale, chunk):
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
 
 
+@settings(PROPERTY, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
+                             "axes", "single", "equal"]),
+       n=st.integers(1, 60), m=st.integers(1, 40), d=st.integers(1, 300),
+       offset=st.sampled_from([0.0, 1.0, 1e3, 1e5]),
+       scale=st.sampled_from([1e-30, 1.0, 1e30]),
+       tile=st.sampled_from([1, 7, 2048]), chunk=st.sampled_from([1, 7, 1024]))
+def test_nn1_tiles_match_cdist_oracle(seed, kind, n, m, d, offset, scale, tile,
+                                      chunk):
+    # tiles of one and seven source rows merge each row's best and runner-up
+    # across many tiles, ties and near ties among them; 2048 is one tile
+    X_s, X_t = nn1_case(seed, kind, n, m, d, offset, scale)
+    source = LabeledDataset(features=X_s, labels=np.arange(X_s.shape[0]),
+                            num_classes=X_s.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "NN1_TILE_COLS", tile)
+        mp.setattr(baselines, "NN1_CHUNK_ROWS", chunk)
+        got = baselines.nn1_classify(source, X_t)
+    assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
+
+
+def test_nn1_equal_rows_in_two_tiles_go_to_the_recheck(monkeypatch):
+    # source rows 2 and 6 are equal and lie in different tiles of 4: the
+    # later tile's equal score does not win, so each pass keeps index 2,
+    # and its runner-up, equal to the best, sends the row on to cdist
+    X_s = np.array([[9.0, 0.0], [0.0, 9.0], [1.0, 1.0], [-9.0, 0.0],
+                    [0.0, -9.0], [9.0, 9.0], [1.0, 1.0], [-9.0, -9.0]])
+    X_t = np.array([[1.0, 1.5]])
+    score_blocks, passes, rechecked = baselines._score_blocks, [], []
+
+    def recording_blocks(dtype, rows, *args):
+        nearest = args[-1]
+        for out in score_blocks(dtype, rows, *args):
+            block, tied = out[0], out[1]
+            passes.append((np.dtype(dtype).name, nearest[block].tolist(),
+                           block[tied].tolist()))
+            yield out
+
+    def counting_cdist(XA, XB):
+        rechecked.append(XB.shape[0])
+        return cdist(XA, XB)
+
+    monkeypatch.setattr(baselines, "NN1_TILE_COLS", 4)
+    monkeypatch.setattr(baselines, "_score_blocks", recording_blocks)
+    monkeypatch.setattr(baselines, "cdist", counting_cdist)
+    source = LabeledDataset(features=X_s, labels=np.arange(8), num_classes=8)
+    assert baselines.nn1_classify(source, X_t).tolist() == [2]
+    assert passes == [("float32", [2], [0]), ("float64", [2], [0])]
+    assert rechecked == [2]
+
+
 @settings(PROPERTY, max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["grid", "normal", "duplicates", "near", "far",
