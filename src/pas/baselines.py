@@ -76,8 +76,9 @@ def _best_two(score):
 def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
     """Score the target rows X_t[rows] in dtype, NN1_CHUNK_ROWS at a time,
     against S1 = [s', ||s'||^2] at the scales 2^k_raw and 2^k
-    (NN1_TIE_REL), in tiles of NN1_TILE_COLS source rows scored into one
-    tile buffer, and set nearest to each row's best.
+    (NN1_TIE_REL), in tiles of NN1_TILE_COLS source rows, each cast to
+    dtype into one reused buffer and scored into one tile buffer, and set
+    nearest to each row's best.
 
     Yields per block its rows, the positions in it of the rows whose
     runner-up lies within the tie bound, the block's left operand
@@ -86,10 +87,10 @@ def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
     n, d = S1.shape[0], S1.shape[1] - 1
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).tiny)
     s_norm_max = np.sqrt(S1[:, d].max())
-    S = S1.astype(dtype, copy=False)
     T = np.ones((min(NN1_CHUNK_ROWS, rows.size), d + 1), dtype=dtype)
     t = np.empty((T.shape[0], d))
     tile = np.empty(T.shape[0] * min(NN1_TILE_COLS, n), dtype=dtype)
+    S = np.empty((min(NN1_TILE_COLS, n), d + 1), dtype=dtype)
     for start in range(0, rows.size, NN1_CHUNK_ROWS):
         block = rows[start:start + NN1_CHUNK_ROWS]
         b = block.size
@@ -104,8 +105,10 @@ def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
         for j in range(0, n, NN1_TILE_COLS):
             # contiguous at any width: into a strided view, matmul would
             # compute a temporary and copy it
-            score = tile[:b * min(NN1_TILE_COLS, n - j)].reshape(b, -1)
-            np.matmul(T[:b], S[j:j + NN1_TILE_COLS].T, out=score)
+            width = min(NN1_TILE_COLS, n - j)
+            score = tile[:b * width].reshape(b, width)
+            S[:width] = S1[j:j + width]
+            np.matmul(T[:b], S[:width].T, out=score)
             i, s, r = _best_two(score)
             # a tile's best wins only on a strictly lower score, so ties go
             # to the lowest index; the runner-up takes the lower of the two
@@ -147,8 +150,9 @@ def nn1_classify(source, X_t):
     Each pass scores NN1_CHUNK_ROWS target rows at a time against tiles of
     NN1_TILE_COLS source rows, into one tile buffer freed before the next
     pass, and keeps each row's best index, best score and runner-up score
-    across the tiles.  Memory stays at the scaled source, its float32 copy
-    and one NN1_CHUNK_ROWS x NN1_TILE_COLS float64 tile, whatever m and n.
+    across the tiles.  Memory stays at the scaled source, one tile of its
+    rows in the pass's precision and one NN1_CHUNK_ROWS x NN1_TILE_COLS
+    float64 tile, whatever m and n.
     An empty source raises EmptySelection, and a label count other than
     one per source row RangeError.
     """

@@ -26,6 +26,9 @@ MAX_STEP_SCALINGS = 60
 # ascent stops
 MAX_ASCENT_STEPS = 500
 ASCENT_TOL = 1e-7
+# target rows per kernel block in kliep_fit: the target side holds one
+# KLIEP_BLOCK_ROWS x centres block instead of m x centres
+KLIEP_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -49,8 +52,31 @@ def _kernel(X, centers, bandwidth):
     # imported on first use, as in kliep_fit: importing pas loads no scipy
     from scipy.spatial.distance import cdist
 
+    # in place on cdist's one buffer: negating first, then dividing, gives
+    # the bits of -cdist(...) / (2 bandwidth^2)
+    K = cdist(X, centers, "sqeuclidean")
+    np.negative(K, out=K)
     with np.errstate(over="ignore"):
-        return np.exp(-cdist(X, centers, "sqeuclidean") / (2.0 * bandwidth ** 2))
+        np.divide(K, 2.0 * bandwidth ** 2, out=K)
+        return np.exp(K, out=K)
+
+
+def _target_means(X_tgt, centers, bandwidth):
+    """The kernel's column means over the target rows, the bits of
+    _kernel(X_tgt, centers, bandwidth).mean(axis=0), computed
+    KLIEP_BLOCK_ROWS rows at a time."""
+    if centers.shape[0] == 1:
+        # numpy sums one column pairwise, not in row order; it is only m
+        # floats, so it is taken whole
+        return _kernel(X_tgt, centers, bandwidth).mean(axis=0)
+    # with two or more columns numpy sums axis 0 in row order, so the
+    # running sum enters each block through its first row
+    total = np.zeros(centers.shape[0])
+    for start in range(0, X_tgt.shape[0], KLIEP_BLOCK_ROWS):
+        block = _kernel(X_tgt[start:start + KLIEP_BLOCK_ROWS], centers, bandwidth)
+        block[0] += total
+        total = block.sum(axis=0)
+    return total / X_tgt.shape[0]
 
 
 def _kliep_objective(K_src, alphas):
@@ -104,6 +130,13 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
     (backtracking line search), and after every step the coefficients are
     clipped at zero and rescaled so the ratio averages to one over the
     target sample.
+
+    Memory stays at the (n, centres) source kernel plus one
+    KLIEP_BLOCK_ROWS-row block of the target kernel, whatever m: the target
+    enters only through the kernel's column means, summed block by block
+    in the row order of mean(axis=0), so the fit is bit for bit that of the
+    whole (m, centres) kernel.  With one centre that column, m floats, is
+    taken whole.
     """
     X_src = check_matrix(X_src, "source samples")
     X_tgt = check_matrix(X_tgt, "target samples", width=X_src.shape[1])
@@ -132,9 +165,9 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
         raise DegenerateKernel("2 * bandwidth^2 must be a normal float, got "
                                "bandwidth %r" % bandwidth)
 
+    # target-average of each kernel; strictly > 0
+    b = _target_means(X_tgt, centers, bandwidth)
     K_src = _kernel(X_src, centers, bandwidth)
-    K_tgt = _kernel(X_tgt, centers, bandwidth)
-    b = K_tgt.mean(axis=0)   # target-average of each kernel; strictly > 0
 
     alphas = np.ones(centers.shape[0])
     alphas /= b @ alphas

@@ -233,15 +233,17 @@ def test_nn1_memory_is_one_float64_block(translation):
 
 @pytest.mark.parametrize("n", [10_000, 40_000])
 def test_nn1_memory_is_the_source_and_one_tile(n):
-    # the scaled source and its float32 copy, then one float64 tile and a
-    # block of target rows: the same bound at both n, where one 1,024 x n
-    # block of float32 scores would reach 41 MB at n = 10,000
+    # the scaled source, one float64 tile, a block of target rows and one
+    # tile of source rows cast to the pass's precision: the same bound at
+    # both n (24.1 and 39.7 MB), which a float32 copy of the whole source
+    # exceeds at n = 40,000, and one 1,024 x n block of float32 scores
+    # (41 MB) at n = 10,000
     m, d = 2048, 64
     rng = np.random.default_rng(7)
     src = labeled(rng.normal(size=(n, d)), np.arange(n) % 10)
     X_t = rng.normal(size=(m, d)) + 0.3
     chunk, tile = pas.baselines.NN1_CHUNK_ROWS, pas.baselines.NN1_TILE_COLS
-    bound = 2 * n * d * 8 + chunk * (tile + 2 * d + 1) * 8
+    bound = (n + tile) * (d + 1) * 8 + chunk * (tile + 2 * d + 1) * 8
     assert traced_peak(lambda: nn1_classify(src, X_t)) <= bound
 
 
@@ -304,14 +306,18 @@ def test_compute_distances_with_memo_memory_is_linear_in_rows():
 
 @pytest.mark.parametrize("centers", [50, 200])
 def test_kliep_memory_is_linear_in_rows_and_centers(centers):
-    # kliep_fit holds the (n, centers) and (m, centers) kernel matrices and
-    # a few of their temporaries, never an (m, n) one
-    m = n = 4096
-    d = 64
-    rng = np.random.default_rng(5)
-    X_s, X_t = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
-    peak = traced_peak(lambda: kliep_fit(X_s, X_t, num_centers=centers))
-    assert peak <= 3 * (m + n) * centers * 8
+    # kliep_fit holds the (n, centers) source kernel and one
+    # KLIEP_BLOCK_ROWS-row block of the target kernel, never an (m, centers)
+    # or (m, n) one: the same bound at m = n and m = 4n, plus (n,) vectors
+    # of the ascent and the centres with their pairwise distances
+    n, d = 4096, 64
+    block = pas.diagnostics.KLIEP_BLOCK_ROWS
+    bound = (n + block) * centers * 8 + (8 * n + centers * (d + centers)) * 8
+    for m in (n, 4 * n):
+        rng = np.random.default_rng(5)
+        X_s, X_t = rng.normal(size=(n, d)), rng.normal(size=(m, d)) + 0.5
+        peak = traced_peak(lambda: kliep_fit(X_s, X_t, num_centers=centers))
+        assert peak <= bound, m
 
 
 def test_fit_progressive_memory_is_linear_in_rows():

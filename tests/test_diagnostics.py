@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 import pas
 from pas import PasConfig, SourceLabels
-from pas.diagnostics import DensityRatioModel, adr, anchoring_report, kliep_fit
+from pas.diagnostics import (ASCENT_TOL, KLIEP_BLOCK_ROWS, LOG_FLOOR, MAX_ASCENT_STEPS,
+                             MAX_STEP_SCALINGS, DensityRatioModel,
+                             _feasible_ascent_direction, adr, anchoring_report,
+                             kliep_fit)
 from pas.data import Shift, SynthConfig, synth_shifted_pair
 from pas.errors import (
     ConfigError,
@@ -121,6 +127,107 @@ def test_kliep_input_validation():
         with pytest.raises(ConfigError, match="seed"):
             kliep_fit(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
                       seed=bad)
+
+
+def materialised_kernel(X, centers, bandwidth):
+    with np.errstate(over="ignore"):
+        return np.exp(-cdist(X, centers, "sqeuclidean") / (2.0 * bandwidth ** 2))
+
+
+def materialised_kliep_fit(X_src, X_tgt, num_centers, bandwidth, seed):
+    """kliep_fit as it was before the target kernel was taken in blocks:
+    it holds the whole (m, centres) target kernel and takes its column
+    means, and builds each kernel through full-size temporaries.  Valid
+    inputs only; returns (centers, alphas, bandwidth, history)."""
+    perm = np.random.default_rng(seed).permutation(X_tgt.shape[0])
+    centers = X_tgt[perm[:min(num_centers, X_tgt.shape[0])]]
+    if bandwidth is None:
+        bandwidth = float(np.median(pdist(centers)))
+    K_src = materialised_kernel(X_src, centers, bandwidth)
+    K_tgt = materialised_kernel(X_tgt, centers, bandwidth)
+    b = K_tgt.mean(axis=0)
+
+    def objective(a):
+        return float(np.log(np.maximum(K_src @ a, LOG_FLOOR)).sum())
+
+    alphas = np.ones(centers.shape[0])
+    alphas /= b @ alphas
+    obj = objective(alphas)
+    history = [obj]
+    step = None
+    for _ in range(MAX_ASCENT_STEPS):
+        grad = K_src.T @ (1.0 / np.maximum(K_src @ alphas, LOG_FLOOR))
+        direction = _feasible_ascent_direction(grad, alphas, b)
+        gnorm = float(np.linalg.norm(direction))
+        if gnorm <= 1e-15:
+            break
+        if step is None:
+            step = float(np.linalg.norm(alphas)) / gnorm
+
+        def evaluate(trial):
+            cand = np.maximum(alphas + trial * direction, 0.0)
+            scale = b @ cand
+            if scale <= 0.0:
+                return None, -np.inf
+            cand = cand / scale
+            return cand, objective(cand)
+
+        trial = step
+        cand, cand_obj = evaluate(trial)
+        backtracks = 0
+        while cand_obj < obj and backtracks < MAX_STEP_SCALINGS:
+            trial *= 0.5
+            cand, cand_obj = evaluate(trial)
+            backtracks += 1
+        if cand_obj < obj:
+            break
+        if backtracks == 0:
+            for _ in range(MAX_STEP_SCALINGS):
+                bigger, bigger_obj = evaluate(trial * 2.0)
+                if bigger_obj <= cand_obj:
+                    break
+                trial *= 2.0
+                cand, cand_obj = bigger, bigger_obj
+        improvement = cand_obj - obj
+        alphas, obj, step = cand, cand_obj, trial
+        history.append(obj)
+        if improvement <= ASCENT_TOL * max(1.0, abs(history[-2])):
+            break
+    return centers, alphas, bandwidth, history
+
+
+# below, at and one row past a block, and several blocks; one centre
+# (whose column numpy sums pairwise), two and many; median and given widths
+ORACLE_GRID = [(m, centers, width)
+               for m in (2, KLIEP_BLOCK_ROWS - 1, KLIEP_BLOCK_ROWS,
+                         KLIEP_BLOCK_ROWS + 1, 3 * KLIEP_BLOCK_ROWS + 5)
+               for centers in (1, 2, 100) for width in ("median", "given")
+               if (centers, width) != (1, "median")]
+
+
+@pytest.mark.parametrize("m, num_centers, width", ORACLE_GRID)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6),
+       bandwidth=st.floats(0.3, 5.0), shift=st.sampled_from([0.0, 0.5, 2.0]))
+def test_kliep_blocks_match_materialised_oracle(m, num_centers, width, seed, n,
+                                                d, bandwidth, shift):
+    # the target kernel taken KLIEP_BLOCK_ROWS rows at a time, and each
+    # kernel built in place, give the bits of the materialised fit
+    rng = np.random.default_rng(seed)
+    X_tgt = rng.normal(size=(m, d))
+    X_src = rng.normal(size=(n, d)) + shift
+    if width == "median":
+        bandwidth = None
+    model = kliep_fit(X_src, X_tgt, num_centers=num_centers,
+                      bandwidth=bandwidth, seed=seed % 7)
+    centers, alphas, bandwidth, history = materialised_kliep_fit(
+        X_src, X_tgt, num_centers, bandwidth, seed % 7)
+    assert np.array_equal(model.centers, centers)
+    assert model.alphas.tobytes() == alphas.tobytes()
+    assert model.bandwidth == bandwidth
+    assert model.objective_history == history
+    assert model.ratio(X_tgt).tobytes() == (
+        materialised_kernel(X_tgt, centers, bandwidth) @ alphas).tobytes()
 
 
 def test_adr_constant_ratio_is_one():
