@@ -8,6 +8,7 @@ errors and inputs too large for memory, 3 dimension mismatch.
 """
 
 import argparse
+import contextlib
 import json
 import pickle
 import sys
@@ -132,15 +133,11 @@ def _bench_one(suite, seed):
 
 
 def _send_seeds(share, sink, suite):
-    """In a forked child: pickle (result, None) for each seed of the range
-    share to sink, flushed at once, or (None, exc) for the first that
-    raises; a full pipe stops this child until the parent reads."""
+    """In a forked child: pickle the result of each seed of the range share
+    to sink, flushed at once, up to the first seed that raises; a full pipe
+    stops this child until the parent reads."""
     for seed in share:
-        try:
-            pickle.dump((_bench_one(suite, seed), None), sink)
-        except Exception as exc:
-            pickle.dump((None, exc), sink)
-            return
+        pickle.dump(_bench_one(suite, seed), sink)
         sink.flush()
 
 
@@ -149,24 +146,20 @@ def _bench_results(suite, seeds):
 
     The seeds are independent fits, run in w processes, one per usable CPU
     and at most one per seed: this one runs seeds 0, w, 2w, ... and forked
-    child i seeds i, i + w, ....  A seed's fit is the same computation in
-    any process, so its results are bitwise the same at any worker count.
+    child i seeds i, i + w, ....  A seed a child does not send (it raised,
+    or the child died) runs in this process, which raises its error.  A
+    seed's fit is the same computation in any process, so its results are
+    bitwise the same at any worker count.
     """
     w = min(data.usable_cpus(), seeds)
     shares = [range(i, seeds, w) for i in range(1, w)]
     with data.forked(_send_seeds, shares, suite) as sources:
         for seed in range(seeds):
-            if seed % w == 0:
-                yield _bench_one(suite, seed)
-                continue
-            try:
-                result, exc = pickle.load(sources[seed % w - 1])
-            except (EOFError, pickle.UnpicklingError):
-                raise PasError("a bench worker process died: seed %d "
-                               "was not sent" % seed) from None
-            if exc is not None:
-                raise exc
-            yield result
+            result = None
+            if seed % w:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    result = pickle.load(sources[seed % w - 1])
+            yield _bench_one(suite, seed) if result is None else result
 
 
 def cmd_bench(args):

@@ -517,6 +517,10 @@ def _subspace_from_dict(entry, d):
     if spectrum.ndim != 1:
         raise ConfigError("spectrum must be a flat list")
     r = spectrum.shape[0]
+    # fit_pca keeps at most d columns; the check on B^T B below is r x r
+    if r > d:
+        raise ConfigError("spectrum has %d values, more than feature_dim %d"
+                          % (r, d))
     if basis.shape != (d * r,):
         raise ConfigError("basis has shape %r, expected %d x %d values"
                           % (basis.shape, d, r))
@@ -579,6 +583,6 @@ def load_model(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("model file is not valid JSON: %s" % exc) from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError("model file is not readable JSON: %s" % exc) from exc
     return model_from_dict(doc)

@@ -43,8 +43,6 @@ IO_BLOCK_ROWS = 1024
 # one per usable CPU, at the same time; near 1 MiB a fork and its pipe
 # cost about what the second CPU saves, and from 2 MiB the split is faster
 CSV_SPLIT_BYTES = 2 << 20
-# bytes read at a time while looking for the newline that ends a range
-CUT_SCAN_BYTES = 1 << 16
 # labels are held as int64
 LABEL_MAX = np.iinfo(np.int64).max
 # str.strip() would also drop Unicode spaces
@@ -183,39 +181,31 @@ def _read_range(fd, start, end, path):
     return X
 
 
-def _csv_ranges(fd, size, parts):
+def _csv_ranges(fh, size, parts):
     """Byte ranges covering [0, size), at most `parts` of them, each cut
-    just after the first "\n" at or after an equal share of the file."""
+    just after the first "\n" at or after an equal share of the file open
+    in binary as fh, which is left at offset 0."""
     cuts = [0]
     for i in range(1, parts):
-        cut = _line_start_after(fd, max(i * size // parts, cuts[-1]), size)
-        if cut >= size:
+        fh.seek(max(i * size // parts, cuts[-1]))
+        fh.readline()
+        if fh.tell() >= size:
             break
-        cuts.append(cut)
+        cuts.append(fh.tell())
+    fh.seek(0)
     cuts.append(size)
     return list(zip(cuts, cuts[1:]))
-
-
-def _line_start_after(fd, pos, size):
-    """The offset just after the first "\n" at or after pos, else size."""
-    while pos < size:
-        chunk = os.pread(fd, CUT_SCAN_BYTES, pos)
-        if not chunk:
-            break
-        newline = chunk.find(b"\n")
-        if newline >= 0:
-            return pos + newline + 1
-        pos += len(chunk)
-    return size
 
 
 @contextlib.contextmanager
 def forked(send, shares, *args):
     """Fork one child per share, each running send(share, sink, *args) into
-    the write end of its own pipe, with no read end open, then os._exit;
-    yield the read ends, in share order.  On exit every child is killed and
-    reaped (killing one that has exited is harmless).  A child's next write
-    fails once this process is gone, so no child outlives it for long."""
+    the write end of its own pipe, with no read end open, then os._exit
+    (also when send raises); yield the read ends, in share order.  Callers
+    redo in this process what a child does not send.  On exit every child
+    is killed and reaped (killing one that has exited is harmless).  A
+    child's next write fails once this process is gone, so no child
+    outlives it for long."""
     pids, sources = [], []
     try:
         for share in shares:
@@ -261,7 +251,7 @@ def _read_csv_split(fh, path):
     if (parts < 2 or not stat.S_ISREG(info.st_mode)
             or info.st_size < CSV_SPLIT_BYTES):
         return None
-    ranges = _csv_ranges(fd, info.st_size, parts)
+    ranges = _csv_ranges(fh, info.st_size, parts)
     if len(ranges) < 2:
         return None
     try:

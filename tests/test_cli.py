@@ -443,12 +443,6 @@ def _memory_error_on_seed_3(suite, seed):
     return _below_run_ahead(seed)
 
 
-def _worker_exit_on_seed_3(suite, seed):
-    if seed == 3:
-        os._exit(1)
-    return _below_run_ahead(seed)
-
-
 def _parse_error_on_seed_2(suite, seed):
     if seed == 2:
         raise ParseError("bench input for seed 2 is malformed")
@@ -458,12 +452,11 @@ def _parse_error_on_seed_2(suite, seed):
 @pytest.mark.parametrize("fail, message", [
     (_parse_error_on_seed_3, "error: bench input for seed 3 is malformed\n"),
     (_memory_error_on_seed_3, "error: Unable to allocate 7.28 TiB\n"),
-    (_worker_exit_on_seed_3, "error: a bench worker process died: "),
     (_parse_error_on_seed_2, "error: bench input for seed 2 is malformed\n"),
 ])
 def test_bench_worker_failure_exit_2(tmp_path, monkeypatch, capfd, fail, message):
-    # a child's error re-raises in this process and a child that dies is
-    # an error; either way the bench writes nothing, prints no traceback
+    # a seed that raises in a child is not sent, and this process runs it
+    # again, raising its error; the bench writes nothing, prints no traceback
     # (capfd sees the children's output too) and leaves no child running.
     # A bench of 10^12 seeds ends as soon as its failing seed is reached
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -496,22 +489,35 @@ def test_bench_worker_failure_exit_2(tmp_path, monkeypatch, capfd, fail, message
 
 def _send_half_of_seed_3(share, sink, suite):
     # a child that dies while it writes seed 3's result
-    pickle.dump(({"pas": 1.0}, None), sink)
-    sink.write(pickle.dumps(({"pas": 1.0}, None))[:20])
+    pickle.dump(cli._bench_one(suite, 1), sink)
+    sink.write(pickle.dumps(cli._bench_one(suite, 3))[:20])
     sink.flush()
     os._exit(1)
 
 
-def test_bench_worker_dying_mid_write_exit_2(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cli, "_bench_one", lambda suite, seed: {"pas": 1.0})
-    monkeypatch.setattr(cli, "_send_seeds", _send_half_of_seed_3)
-    assert main(["bench", "--suite", "pda", "--seeds", "4",
-                 "--out-csv", str(tmp_path / "b.csv")]) == 2
+@pytest.mark.parametrize("death", ["exit_on_seed_3", "dying_mid_write"])
+def test_bench_runs_unsent_seeds_in_process(tmp_path, monkeypatch, capsys, death):
+    # at two CPUs the child's share is seeds 1, 3, 5 and 7.  A child that
+    # exits as it reaches seed 3, or dies while it writes seed 3's result,
+    # sends no seed from 3 on; this process runs each of them, so the bench
+    # writes the CSV and prints the means of a one-CPU run
+    one_cpu = _bench_csv(tmp_path, monkeypatch, "pda", {0}, capsys)
+    parent, bench_one, ran = os.getpid(), cli._bench_one, []
+
+    def fake(suite, seed):
+        if os.getpid() == parent:
+            ran.append(seed)
+        elif seed == 3 and death == "exit_on_seed_3":
+            os._exit(1)
+        return bench_one(suite, seed)
+
+    monkeypatch.setattr(cli, "_bench_one", fake)
+    if death == "dying_mid_write":
+        monkeypatch.setattr(cli, "_send_seeds", _send_half_of_seed_3)
+    assert _bench_csv(tmp_path, monkeypatch, "pda", {0, 1}, capsys) == (
+        one_cpu[0], one_cpu[1], 1)
+    assert ran == [0, 2, 3, 4, 5, 6, 7]
     assert_no_child_left()
-    assert os.listdir(tmp_path) == []
-    assert capfd.readouterr().err == (
-        "error: a bench worker process died: seed 3 was not sent\n")
 
 
 def test_bench_bad_seeds_exit_2(tmp_path):
@@ -868,4 +874,26 @@ def test_predict_malformed_model_exit_2(tmp_path, capsys, corrupt):
     assert main(["predict", "--model", str(bad),
                  "--features", prefix + "_target.csv", "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["predict", "diagnose"])
+def test_deeply_nested_model_exit_2(tmp_path, capsys, command):
+    # json.load recurses once per nested list, so 200,000 of them exceed
+    # Python's recursion limit; that is one error line, not a traceback
+    prefix = make_data(tmp_path)
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 200000 + "]" * 200000)
+    out = str(tmp_path / "out.txt")
+    if command == "predict":
+        args = ["--features", prefix + "_target.csv"]
+    else:
+        args = ["--source", prefix + "_source.csv",
+                "--target", prefix + "_target.csv",
+                "--true-labels", prefix + "_target_labels.csv"]
+    capsys.readouterr()
+    assert main([command, "--model", str(model), "--out", out] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file is not readable JSON: ")
+    assert err.count("\n") == 1
     assert not os.path.exists(out)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -897,6 +898,27 @@ def test_model_written_without_label_values_loads_identity(tmp_path):
     loaded = core.model_from_dict(doc)
     assert loaded.label_values.tolist() == [0, 1, 2]
     assert (predict(loaded, Xt) == predict(model, Xt)).all()
+
+
+def test_model_load_rejects_a_spectrum_longer_than_feature_dim():
+    # fit_pca keeps at most feature_dim columns, so a longer spectrum is
+    # rejected before any r x r product: a 4,000-value spectrum at d = 1
+    # would otherwise form B^T B and an identity of 128 MB each
+    r = 4000
+    doc = {"feature_dim": 1, "num_classes": 1,
+           "config": {"dim": 1, "schedule_step": 0.5},
+           "subspaces": [{"mean": [0.0], "spectrum": [1.0] * r,
+                          "basis": [1.0] + [0.0] * (r - 1)}]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as exc:
+            core.model_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "spectrum has 4000 values, more than feature_dim 1"
+    # the mean, spectrum and basis as float64 arrays, with room to spare
+    assert peak <= 4 * (1 + r + r) * 8 + (64 << 10)
 
 
 def test_model_load_rejects_garbage(tmp_path):

@@ -283,18 +283,23 @@ def test_split_load_errors_are_the_one_process_errors(tmp_path, monkeypatch, raw
 
 def test_split_ranges_cut_after_a_newline(tmp_path):
     # a cut falls just after the first "\n" at or after an equal share,
-    # never inside a "\r\n" nor after a lone "\r"; a file whose one newline
-    # ends it, or with none, is one range
+    # never inside a "\r\n" nor after a lone "\r", however far past the
+    # share that "\n" is; a file whose one newline ends it, or with none,
+    # is one range.  The search leaves the file at offset 0
     p = tmp_path / "f.csv"
     for raw, parts, ranges in [
             (b"10\r\n2\r\n3\r\n", 2, [(0, 7), (7, 10)]),
             (b"11\r22\n33\n", 3, [(0, 6), (6, 9)]),
             (b"1\n\n\n\n\n\n", 4, [(0, 2), (2, 4), (4, 6), (6, 7)]),
             (b"1,2,3\n", 2, [(0, 6)]),
-            (b"1,2,3", 4, [(0, 5)])]:
+            (b"1,2,3", 4, [(0, 5)]),
+            # the share falls 100,000 bytes before the end of a 200,001-byte line
+            (b"1\n" + b"2," * 100000 + b"3\n4\n", 2,
+             [(0, 200004), (200004, 200006)])]:
         p.write_bytes(raw)
         with open(p, "rb") as fh:
-            assert data._csv_ranges(fh.fileno(), len(raw), parts) == ranges
+            assert data._csv_ranges(fh, len(raw), parts) == ranges
+            assert fh.tell() == 0
 
 
 def test_binary_round_trip_bitwise(tmp_path):
