@@ -13,13 +13,9 @@ from .core import (
     PasModel,
     SourceLabels,
     StageRecord,
-    anchor,
-    assign_memberships,
     compute_distances,
     fit_class_subspaces,
     fit_progressive,
-    inner_solve,
-    lambda_for_fraction,
     load_model,
     objective,
     predict,
@@ -45,11 +41,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorState", "DensityRatioModel", "LabeledDataset",
     "PasConfig", "PasModel", "Shift", "SourceLabels", "StageRecord",
-    "Subspace", "SynthConfig", "UnlabeledDataset", "adr", "anchor",
-    "anchoring_report", "assign_memberships", "compute_distances",
-    "fit_class_subspaces", "fit_pca", "fit_progressive", "inner_solve",
-    "kliep_fit", "lambda_for_fraction", "load_features", "load_labeled",
-    "load_labels", "load_model", "nn1_classify", "objective", "pas_c",
-    "predict", "residuals_sq", "save_features", "save_labels", "save_model",
-    "synth_shifted_pair",
+    "Subspace", "SynthConfig", "UnlabeledDataset", "adr",
+    "anchoring_report", "compute_distances", "fit_class_subspaces",
+    "fit_pca", "fit_progressive", "kliep_fit", "load_features",
+    "load_labeled", "load_labels", "load_model", "nn1_classify",
+    "objective", "pas_c", "predict", "residuals_sq", "save_features",
+    "save_labels", "save_model", "synth_shifted_pair",
 ]

@@ -33,7 +33,6 @@ class's source residual total, so the objective sums stored floats."""
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -244,6 +243,7 @@ def compute_distances(model, X_t, _memo=None):
     return dists
 
 
+# no solver caller: benchmarks/tracer.py looks up core.assign_memberships
 def assign_memberships(dists):
     """One-hot assignment of each row to its minimum-distance class.
 
@@ -256,25 +256,18 @@ def assign_memberships(dists):
 
 def anchor(c, lam):
     """Indicator of samples anchored at threshold lam: 1 iff c_j < lam (strict)."""
-    return (np.asarray(c, dtype=float) < lam).astype(np.int64)
+    return (c < lam).astype(np.int64)
 
 
 def lambda_for_fraction(c, fraction):
-    """Smallest threshold anchoring at least ceil(fraction * m) samples.
+    """Smallest threshold anchoring at least ceil(fraction * m) of the m
+    distances c; fraction = 1 returns a value strictly above max(c).
 
-    fraction = 0 returns 0 (anchors nothing, since anchoring is strict);
-    fraction = 1 returns a value strictly above max(c).
+    fit_progressive passes its m >= 1 row distances and a fraction in
+    [schedule_step, 1], so at least one row is anchored.
     """
-    c = np.asarray(c, dtype=float)
-    if c.size == 0:
-        raise EmptyTarget("no target distances")
-    if (isinstance(fraction, bool) or not isinstance(fraction, numbers.Real)
-            or not 0.0 <= fraction <= 1.0):
-        raise ConfigError("fraction must be in [0, 1], got %r" % (fraction,))
     # the 1e-9 guard absorbs float noise in fraction * m (e.g. 17 * 0.01 * 300)
     t = int(math.ceil(fraction * c.size - 1e-9))
-    if t <= 0:
-        return 0.0
     # the t-th smallest value; every value above it lies after index t - 1
     s = np.partition(c, t - 1)
     u, rest = s[t - 1], s[t:]
@@ -399,8 +392,7 @@ def fit_class_subspaces(X_s, labels, X_t=None, state=None, config=None,
     return model
 
 
-def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
-                _refits=None):
+def inner_solve(X_s, labels, X_t, lam, warm_state, config, _refits):
     """Alternate the block updates at a fixed threshold until convergence.
 
     Returns (model, state, history) where history holds the objective
@@ -409,17 +401,10 @@ def inner_solve(X_s, labels, X_t, lam, warm_state=None, config=None,
     A refit that changes no class would rebuild the same distances: after
     the first iteration the loop records the last objective once more and
     stops; on the first it keeps the warm state's assignments and distances,
-    since only fit_progressive shares a refit memo (_refits) between calls
-    and every state returned was built from the distances left in it.
-    Overflow raises NonFinite.
+    since every state returned was built from the distances left in the
+    refit memo _refits.  The one caller, fit_progressive, checks the inputs
+    (X_t is the memo's) and sets the errstate; overflow raises NonFinite.
     """
-    config = config or PasConfig()
-    if _refits is None:   # a standalone call; fit_progressive checks its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            return inner_solve(X_s, labels, X_t, lam, warm_state, config,
-                               _ClassRefits(X_s, labels, X_t, warm_state))
-    X_t = _refits.X_t
-
     state, history = warm_state, []
     for _ in range(config.inner_max_iters):
         model = fit_class_subspaces(X_s, labels, X_t, state, config,

@@ -201,18 +201,22 @@ def _csv_ranges(fh, size, parts):
 def forked(send, shares, *args):
     """Fork one child per share, each running send(share, sink, *args) into
     the write end of its own pipe, with no read end open, then os._exit
-    (also when send raises); yield the read ends, in share order.  Callers
-    redo in this process what a child does not send.  On exit every child
-    is killed and reaped (killing one that has exited is harmless).  A
-    child's next write fails once this process is gone, so no child
-    outlives it for long."""
+    (also when send raises); yield the read ends, in share order.  A share
+    whose fork fails (EAGAIN or ENOMEM at a process or memory limit) gets a
+    pipe with no writer.  Callers redo in this process what a child does
+    not send.  On exit every child is killed and reaped (killing one that
+    has exited is harmless).  A child's next write fails once this process
+    is gone, so no child outlives it for long."""
     pids, sources = [], []
     try:
         for share in shares:
             read_end, write_end = os.pipe()
             sources.append(open(read_end, "rb"))
             with open(write_end, "wb") as sink:
-                pid = os.fork()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    continue
                 if pid == 0:
                     try:
                         for source in sources:

@@ -1,11 +1,25 @@
 """Checks run after every test: no forked child is left unreaped, and no
-file descriptor the test opened is left open."""
+file descriptor the test opened is left open.  Also helpers the test
+modules import."""
 
 import os
 
+import numpy as np
 import pytest
 
+from pas import PasConfig, core
+
 FD_DIR = "/proc/self/fd"
+
+
+def solve_inner(X_s, labels, X_t, lam, warm_state=None, config=None):
+    """pas.core.inner_solve run as fit_progressive runs it: on a refit memo
+    built for these inputs, which checks them and warm_state, on the memo's
+    X_t, under the errstate that lets overflow raise NonFinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        refits = core._ClassRefits(X_s, labels, X_t, warm_state)
+        return core.inner_solve(X_s, labels, refits.X_t, lam, warm_state,
+                                config or PasConfig(), refits)
 
 
 def read_text(path, mode="r"):

@@ -11,7 +11,9 @@ import numpy as np
 import pas
 from pas import PasConfig, SourceLabels
 from pas.cli import SUITES, main
+from pas.core import anchor, assign_memberships, lambda_for_fraction
 from pas.data import Shift, SynthConfig, synth_shifted_pair
+from conftest import solve_inner
 
 
 def report(num, ok, text, elapsed, bound):
@@ -42,7 +44,7 @@ def test_criterion_1_membership_assignment_oracle():
         dists = rng.uniform(size=(m, K))
         if rng.uniform() < 0.3:   # force ties sometimes
             dists = np.round(dists, 1)
-        W = pas.assign_memberships(dists)
+        W = assign_memberships(dists)
         picked = (W * dists).sum(axis=1)
         exhaustive = dists.min(axis=1)
         if not (picked == exhaustive).all() or not (W.sum(axis=1) == 1).all():
@@ -66,7 +68,7 @@ def test_criterion_2_anchoring_oracle():
         m = int(rng.integers(1, 26))
         c = rng.uniform(0.0, 2.0, size=m)
         lam = float(rng.choice([0.0, rng.uniform(0.0, 2.5)]))
-        v = pas.anchor(c, lam)
+        v = anchor(c, lam)
         if m <= 15:
             # exhaustive: score every v through the same pipeline so the
             # zero-tolerance comparison is summation-order honest
@@ -105,9 +107,9 @@ def test_criterion_3_objective_descent():
         config = PasConfig(dim=int(rng.integers(1, 4)))
         model0 = pas.fit_class_subspaces(src.features, labels, config=config)
         c0 = pas.compute_distances(model0, tgt.features).min(axis=1)
-        lam = pas.lambda_for_fraction(c0, float(rng.uniform(0.1, 1.0)))
-        _, _, history = pas.inner_solve(src.features, labels, tgt.features,
-                                        lam, config=config)
+        lam = lambda_for_fraction(c0, float(rng.uniform(0.1, 1.0)))
+        _, _, history = solve_inner(src.features, labels, tgt.features,
+                                    lam, config=config)
         if len(history) > 1:
             worst = max(worst, float(np.max(np.diff(history))))
     ok = worst <= 1e-9

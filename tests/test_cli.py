@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import pickle
@@ -495,12 +496,17 @@ def _send_half_of_seed_3(share, sink, suite):
     os._exit(1)
 
 
-@pytest.mark.parametrize("death", ["exit_on_seed_3", "dying_mid_write"])
+def _fork_fails():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("death", ["exit_on_seed_3", "dying_mid_write", "fork_fails"])
 def test_bench_runs_unsent_seeds_in_process(tmp_path, monkeypatch, capsys, death):
     # at two CPUs the child's share is seeds 1, 3, 5 and 7.  A child that
     # exits as it reaches seed 3, or dies while it writes seed 3's result,
-    # sends no seed from 3 on; this process runs each of them, so the bench
-    # writes the CSV and prints the means of a one-CPU run
+    # sends no seed from 3 on, and a fork that fails at a process limit
+    # leaves no child to send any; this process runs each seed not sent, so
+    # the bench writes the CSV and prints the means of a one-CPU run
     one_cpu = _bench_csv(tmp_path, monkeypatch, "pda", {0}, capsys)
     parent, bench_one, ran = os.getpid(), cli._bench_one, []
 
@@ -514,9 +520,12 @@ def test_bench_runs_unsent_seeds_in_process(tmp_path, monkeypatch, capsys, death
     monkeypatch.setattr(cli, "_bench_one", fake)
     if death == "dying_mid_write":
         monkeypatch.setattr(cli, "_send_seeds", _send_half_of_seed_3)
+    if death == "fork_fails":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    forks = 0 if death == "fork_fails" else 1
     assert _bench_csv(tmp_path, monkeypatch, "pda", {0, 1}, capsys) == (
-        one_cpu[0], one_cpu[1], 1)
-    assert ran == [0, 2, 3, 4, 5, 6, 7]
+        one_cpu[0], one_cpu[1], forks)
+    assert ran == (list(range(8)) if forks == 0 else [0, 2, 3, 4, 5, 6, 7])
     assert_no_child_left()
 
 

@@ -12,16 +12,13 @@ from pas import (
     AnchorState,
     PasConfig,
     SourceLabels,
-    anchor,
-    assign_memberships,
     compute_distances,
     fit_class_subspaces,
     fit_progressive,
-    inner_solve,
-    lambda_for_fraction,
     objective,
     predict,
 )
+from pas.core import anchor, assign_memberships, lambda_for_fraction
 from pas.errors import (
     ConfigError,
     DimensionMismatch,
@@ -29,6 +26,7 @@ from pas.errors import (
     NonFinite,
     RangeError,
 )
+from conftest import solve_inner
 
 
 def make_instance(seed, n_per=8, K=2, d=3, shift=0.8):
@@ -60,8 +58,9 @@ def check_state(state):
 
 
 def replicate_inner(Xs, labels, Xt, lam, config, warm_state=None):
-    """The solver loop rebuilt from the public block updates; checks the
-    state invariants and recomputes the objective at every step."""
+    """The solver loop rebuilt from the block updates, each called alone;
+    checks the state invariants and recomputes the objective at every
+    step."""
     state, history = warm_state, []
     for _ in range(config.inner_max_iters):
         model = fit_class_subspaces(Xs, labels, Xt, state, config)
@@ -174,10 +173,6 @@ def test_anchor_monotone_in_threshold():
 
 # --- lambda_for_fraction ----------------------------------------------------
 
-def test_lambda_fraction_zero():
-    assert lambda_for_fraction(np.array([1.0, 2.0]), 0.0) == 0.0
-
-
 def test_lambda_fraction_half_anchors_exactly_two():
     c = np.array([1.0, 2.0, 3.0, 4.0])
     lam = lambda_for_fraction(c, 0.5)
@@ -200,30 +195,9 @@ def test_lambda_fraction_order_statistic_scan_oracle():
         fraction = float(rng.uniform(0, 1))
         t = int(np.ceil(fraction * m - 1e-9))
         lam = lambda_for_fraction(c, fraction)
-        if t == 0:
-            assert lam == 0.0
-            continue
         candidates = sorted(set(c.tolist())) + [c.max() * (1 + 1e-9) + 1e-12]
         valid = [u for u in candidates if (c < u).sum() >= t]
         assert lam == valid[0]
-
-
-def test_lambda_fraction_empty_target():
-    with pytest.raises(EmptyTarget):
-        lambda_for_fraction(np.zeros(0), 0.5)
-
-
-@pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
-def test_lambda_fraction_outside_unit_interval(fraction):
-    with pytest.raises(ConfigError, match="fraction must be in"):
-        lambda_for_fraction(np.array([0.1, 0.2, 0.3]), fraction)
-
-
-@pytest.mark.parametrize("fraction", [True, np.True_, "0.5", None, [0.5]])
-def test_lambda_fraction_must_be_a_real_number(fraction):
-    # True once returned the fraction-1.0 threshold and "0.5" a TypeError
-    with pytest.raises(ConfigError, match="fraction must be in"):
-        lambda_for_fraction(np.array([0.1, 0.2, 0.3]), fraction)
 
 
 # --- objective --------------------------------------------------------------
@@ -365,7 +339,7 @@ def test_warm_state_of_wrong_shape_rejected(memberships, anchors):
     v = np.ones(anchors, dtype=np.int64)
     state = AnchorState(assigned, v, 1.0, np.zeros(anchors), 2)
     with pytest.raises(DimensionMismatch, match="state must hold"):
-        inner_solve(Xs, labels, Xt, 1.0, warm_state=state)
+        solve_inner(Xs, labels, Xt, 1.0, warm_state=state)
     with pytest.raises(DimensionMismatch, match="state must hold"):
         fit_class_subspaces(Xs, labels, Xt, state)
 
@@ -409,7 +383,7 @@ def test_malformed_state_rejected(defect, message):
     with pytest.raises(RangeError, match=message):
         fit_class_subspaces(Xs, labels, Xt, state)
     with pytest.raises(RangeError, match=message):
-        inner_solve(Xs, labels, Xt, 1.0, warm_state=state)
+        solve_inner(Xs, labels, Xt, 1.0, warm_state=state)
     with pytest.raises(RangeError, match=message):
         objective(model, Xs, labels, Xt, state)
 
@@ -424,7 +398,7 @@ def test_state_memberships_are_a_one_hot_view():
     assert (state.memberships == W).all()
     with pytest.raises(AttributeError):
         state.memberships = W
-    _, solved, _ = inner_solve(Xs, labels, Xt, float(np.median(c)))
+    _, solved, _ = solve_inner(Xs, labels, Xt, float(np.median(c)))
     assert solved.memberships.shape == (Xt.shape[0], 3)
     assert (solved.memberships.argmax(axis=1) == solved.assigned).all()
     assert (solved.memberships.sum(axis=1) == 1).all()
@@ -437,7 +411,7 @@ def test_inner_solve_zero_shift_converges_fast():
     ys = np.repeat([0, 1], 10)
     labels = SourceLabels(labels=ys, num_classes=2)
     Xt = Xs.copy()
-    model, state, history = inner_solve(Xs, labels, Xt, 1e6,
+    model, state, history = solve_inner(Xs, labels, Xt, 1e6,
                                         config=PasConfig(dim=1))
     assert len(history) <= 2
     assert state.anchors.sum() == 20
@@ -447,7 +421,7 @@ def test_inner_solve_zero_shift_converges_fast():
 def test_inner_solve_lambda_zero_is_source_only():
     Xs, labels, Xt, _ = make_instance(9, K=3)
     config = PasConfig(dim=1)
-    model, state, _ = inner_solve(Xs, labels, Xt, 0.0, config=config)
+    model, state, _ = solve_inner(Xs, labels, Xt, 0.0, config=config)
     assert state.anchors.sum() == 0
     source_only = fit_class_subspaces(Xs, labels, config=config)
     for S, T in zip(model.subspaces, source_only.subspaces):
@@ -456,13 +430,13 @@ def test_inner_solve_lambda_zero_is_source_only():
 
 
 def test_inner_solve_matches_block_update_replication():
-    # per-step objective oracle: rebuilding the loop from the public ops
+    # per-step objective oracle: rebuilding the loop from the block updates
     # must give bitwise identical objective history
     Xs, labels, Xt, _ = make_instance(10, n_per=12, K=2, d=4)
     config = PasConfig(dim=1)
     dists0 = compute_distances(fit_class_subspaces(Xs, labels, config=config), Xt)
     lam = float(np.quantile(dists0.min(axis=1), 0.6))
-    model, state, history = inner_solve(Xs, labels, Xt, lam, config=config)
+    model, state, history = solve_inner(Xs, labels, Xt, lam, config=config)
     model2, state2, history2 = replicate_inner(Xs, labels, Xt, lam, config)
     assert history == history2
     assert (state.memberships == state2.memberships).all()
@@ -476,7 +450,7 @@ def test_inner_solve_objective_descends():
         dists0 = compute_distances(
             fit_class_subspaces(Xs, labels, config=PasConfig(dim=1)), Xt)
         lam = float(np.quantile(dists0.min(axis=1), rng.uniform(0.2, 1.0)))
-        _, _, history = inner_solve(Xs, labels, Xt, lam, config=PasConfig(dim=1))
+        _, _, history = solve_inner(Xs, labels, Xt, lam, config=PasConfig(dim=1))
         diffs = np.diff(history)
         assert (diffs <= 1e-9).all()
 
@@ -608,7 +582,7 @@ def test_fit_checks_source_features_once(monkeypatch):
                                eval_labels=ys)
     assert len(trace) == 11
     assert checked.count("source features") == 1
-    for call in (lambda: inner_solve(Xs, labels, Xt, 1.0),
+    for call in (lambda: solve_inner(Xs, labels, Xt, 1.0),
                  lambda: fit_class_subspaces(Xs, labels)):
         checked.clear()
         call()
@@ -713,7 +687,7 @@ def test_inner_solve_and_objective_near_float_max_raise_nonfinite(big_class):
                             1.0, np.zeros(m), 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: inner_solve(Xs, labels, Xt, 0.0),
+            for call in (lambda: solve_inner(Xs, labels, Xt, 0.0),
                          lambda: objective(model, Xs, labels, Xt, state)):
                 with pytest.raises(NonFinite):
                     call()

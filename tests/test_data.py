@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import struct
@@ -203,6 +204,35 @@ def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
                         lambda fh, path: parses.append(path) or real_parse(fh, path))
     assert load_features(p).tobytes() == X.tobytes()
     assert len(forks) == 2 and len(parses) == (1 if sent is None else 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["first", "every"])
+def test_split_load_reads_again_when_fork_fails(tmp_path, monkeypatch, failing):
+    # at three CPUs the first fork, or every fork, fails as at a process
+    # limit (EAGAIN); that range's pipe has no writer, so this process
+    # parses its own range, then the whole file, and reaps any child
+    X = np.random.default_rng(5).normal(size=(300, 5))
+    p = str(tmp_path / "f.csv")
+    save_features(p, X)
+    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    forks = allow_cpus(monkeypatch, 3)
+    counting_fork, attempts = os.fork, []
+
+    def fork():
+        attempts.append(1)
+        if failing == "every" or len(attempts) == 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    parses = []
+    real_parse = data._read_csv_lines
+    monkeypatch.setattr(data, "_read_csv_lines",
+                        lambda fh, path: parses.append(path) or real_parse(fh, path))
+    assert load_features(p).tobytes() == X.tobytes()
+    assert len(attempts) == 2 and len(forks) == (1 if failing == "first" else 0)
+    assert len(parses) == 2
     assert_no_child_left()
 
 

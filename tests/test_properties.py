@@ -30,8 +30,6 @@ from pas import (
     fit_class_subspaces,
     fit_pca,
     fit_progressive,
-    inner_solve,
-    lambda_for_fraction,
     objective,
     predict,
     residuals_sq,
@@ -39,9 +37,11 @@ from pas import (
 )
 from pas import baselines, core, subspace
 from pas.cli import SUITES
-from pas.core import StageRecord, model_from_dict, model_to_dict
+from pas.core import (StageRecord, inner_solve, lambda_for_fraction,
+                      model_from_dict, model_to_dict)
 from pas.data import LabeledDataset
 from pas.subspace import RANK_TOL
+from conftest import solve_inner
 from test_core import assert_same_fit, make_instance, replicate_inner
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
@@ -153,7 +153,7 @@ def test_inner_solve_matches_replication(seed, K, quantile, max_iters):
     lam = float(np.quantile(dists0.min(axis=1), quantile))
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(PasConfig, "inner_max_iters", max_iters)
-        _, state, history = inner_solve(Xs, labels, Xt, lam, config=config)
+        _, state, history = solve_inner(Xs, labels, Xt, lam, config=config)
         _, state2, history2 = replicate_inner(Xs, labels, Xt, lam, config)
     assert history == history2
     assert (state.memberships == state2.memberships).all()
@@ -175,8 +175,8 @@ def test_inner_solve_objective_never_increases(seed, K, d, dim, quantile, warm):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(PasConfig, "inner_tol", 1e-12)
         if warm:
-            _, state, _ = inner_solve(Xs, labels, Xt, 0.5 * lam, config=config)
-        _, _, history = inner_solve(Xs, labels, Xt, lam, state, config)
+            _, state, _ = solve_inner(Xs, labels, Xt, 0.5 * lam, config=config)
+        _, _, history = solve_inner(Xs, labels, Xt, lam, state, config)
     for before, after in zip(history, history[1:]):
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
@@ -551,8 +551,6 @@ def sorted_threshold(c, fraction):
     """lambda_for_fraction's threshold read off a full sort: the smallest
     value above the t-th smallest, else just above the largest."""
     t = int(np.ceil(fraction * c.size - 1e-9))
-    if t <= 0:
-        return 0.0
     s = np.sort(c)
     bigger = s[s > s[t - 1]]
     return float(bigger[0]) if bigger.size else float(s[t - 1] * (1.0 + 1e-9) + 1e-12)
@@ -561,16 +559,18 @@ def sorted_threshold(c, fraction):
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2000),
        distinct=st.integers(1, 60), decimals=st.integers(0, 3),
-       scale=st.sampled_from([1e-300, 1.0, 1e300]), k=st.integers(0, 2000),
+       scale=st.sampled_from([1e-300, 1.0, 1e300]), k=st.integers(1, 2000),
        exact=st.booleans())
 def test_lambda_for_fraction_matches_sort_oracle(seed, m, distinct, decimals,
                                                  scale, k, exact):
     # m distances drawn from a few values, rounded so that zeros and ties
-    # are common; an exact fraction k/m puts the t-th value on a tie's edge
+    # are common; an exact fraction k/m puts the t-th value on a tie's edge.
+    # fit_progressive's fractions are at least MIN_SCHEDULE_STEP
     rng = np.random.default_rng(seed)
     pool = np.round(rng.uniform(0, 1, size=distinct), decimals) * scale
     c = rng.choice(pool, size=m)
-    fraction = min(k, m) / m if exact else float(rng.uniform())
+    fraction = (min(k, m) / m if exact
+                else float(rng.uniform(core.MIN_SCHEDULE_STEP, 1.0)))
     assert repr(lambda_for_fraction(c, fraction)) == repr(sorted_threshold(c, fraction))
 
 
@@ -588,9 +588,9 @@ def test_state_checked_once_per_public_call(monkeypatch):
     assert len(trace) == 101
     assert calls == []
     Xs, labels, Xt, _ = make_instance(33, K=3)
-    model, state, _ = inner_solve(Xs, labels, Xt, 1.0)
+    model, state, _ = solve_inner(Xs, labels, Xt, 1.0)
     assert calls == []
-    for call in (lambda: inner_solve(Xs, labels, Xt, 2.0, warm_state=state),
+    for call in (lambda: solve_inner(Xs, labels, Xt, 2.0, warm_state=state),
                  lambda: fit_class_subspaces(Xs, labels, Xt, state),
                  lambda: objective(model, Xs, labels, Xt, state)):
         calls.clear()
