@@ -1,16 +1,16 @@
 """Command-line surface: fit, predict, synth, bench, diagnose.
 
 Every command is deterministic given its flags; reruns at the same BLAS
-thread count produce byte-identical outputs.  Outputs are computed fully
-in memory and written atomically (temp file + rename), so error paths
-never leave a partial success file.  Exit codes: 0 success, 2 I/O/parse/config
+thread count produce byte-identical outputs.  A command writes each output
+to a temp file and renames them once all are written, so error paths
+never leave partial output.  Exit codes: 0 success, 2 I/O/parse/config
 errors and inputs too large for memory, 3 dimension mismatch.
 """
 
 import argparse
 import contextlib
 import json
-import pickle
+import os
 import sys
 
 import numpy as np
@@ -47,36 +47,57 @@ def _write_csv(path, header, rows):
     data.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Refuse a path that is a directory, then yield a temp path for each
+    of paths, for the block to write; rename each over its path once the
+    block is done, or on a failure remove them all, renaming none."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError("output is a directory: %s" % path)
+    tmps = ["%s.tmp.%d.%d" % (path, os.getpid(), i) for i, path in enumerate(paths)]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        raise
+
+
 def cmd_fit(args):
-    source = data.load_labeled(args.source, args.labels)
-    X_t = data.load_features(args.target)
-    eval_labels = None
-    if args.eval_labels:
-        raw = data.load_labels(args.eval_labels)
-        # the fit assigns class indices; a label the source lacks (-1) is a miss
-        values = source.label_values
-        index = np.searchsorted(values, raw)
-        found = values[np.minimum(index, values.size - 1)] == raw
-        eval_labels = np.where(found, index, -1)
-    config = core.PasConfig(dim=args.dim, schedule_step=args.step)
-    labels = core.SourceLabels(labels=source.labels,
-                               num_classes=source.num_classes)
-    model, trace = core.fit_progressive(source.features, labels, X_t,
-                                        config, eval_labels)
-    model.label_values = source.label_values
-    core.save_model(model, args.out_model)
-    header = ["stage", "fraction", "lambda", "anchored", "objective"]
-    if eval_labels is not None:
-        header.append("pseudo_acc")
-    rows = []
-    for rec in trace:
-        row = [rec.stage, float(rec.fraction), float(rec.threshold),
-               rec.anchored, float(rec.objective)]
+    with _outputs(args.out_model, args.trace_csv) as (model_out, trace_out):
+        source = data.load_labeled(args.source, args.labels)
+        X_t = data.load_features(args.target)
+        eval_labels = None
+        if args.eval_labels:
+            raw = data.load_labels(args.eval_labels)
+            # the fit assigns class indices; a label the source lacks (-1) is a miss
+            values = source.label_values
+            index = np.searchsorted(values, raw)
+            found = values[np.minimum(index, values.size - 1)] == raw
+            eval_labels = np.where(found, index, -1)
+        config = core.PasConfig(dim=args.dim, schedule_step=args.step)
+        labels = core.SourceLabels(labels=source.labels,
+                                   num_classes=source.num_classes)
+        model, trace = core.fit_progressive(source.features, labels, X_t,
+                                            config, eval_labels)
+        model.label_values = source.label_values
+        core.save_model(model, model_out)
+        header = ["stage", "fraction", "lambda", "anchored", "objective"]
         if eval_labels is not None:
-            row.append(float(rec.pseudo_accuracy))
-        rows.append(row)
-    _write_csv(args.trace_csv, header, rows)
-    return 0
+            header.append("pseudo_acc")
+        rows = []
+        for rec in trace:
+            row = [rec.stage, float(rec.fraction), float(rec.threshold),
+                   rec.anchored, float(rec.objective)]
+            if eval_labels is not None:
+                row.append(float(rec.pseudo_accuracy))
+            rows.append(row)
+        _write_csv(trace_out, header, rows)
+        return 0
 
 
 def cmd_predict(args):
@@ -96,12 +117,13 @@ def cmd_synth(args):
                                   translation=args.translation,
                                   noise=args.noise),
                       pda_keep=keep, seed=args.seed)
-    source, target = data.synth_shifted_pair(cfg)
-    prefix = args.out_prefix
-    data.save_features(prefix + "_source.csv", source.features)
-    data.save_labels(prefix + "_source_labels.csv", source.labels)
-    data.save_features(prefix + "_target.csv", target.features)
-    data.save_labels(prefix + "_target_labels.csv", target.true_labels)
+    names = ("source", "source_labels", "target", "target_labels")
+    with _outputs(*("%s_%s.csv" % (args.out_prefix, n) for n in names)) as paths:
+        source, target = data.synth_shifted_pair(cfg)
+        data.save_features(paths[0], source.features)
+        data.save_labels(paths[1], source.labels)
+        data.save_features(paths[2], target.features)
+        data.save_labels(paths[3], target.true_labels)
     return 0
 
 
@@ -132,40 +154,14 @@ def _bench_one(suite, seed):
     return out
 
 
-def _send_seeds(share, sink, suite):
-    """In a forked child: pickle the result of each seed of the range share
-    to sink, flushed at once, up to the first seed that raises; a full pipe
-    stops this child until the parent reads."""
-    for seed in share:
-        pickle.dump(_bench_one(suite, seed), sink)
-        sink.flush()
-
-
-def _bench_results(suite, seeds):
-    """Yield _bench_one(suite, seed) for seeds 0, 1, ..., in seed order.
-
-    The seeds are independent fits, run in w processes, one per usable CPU
-    and at most one per seed: this one runs seeds 0, w, 2w, ... and forked
-    child i seeds i, i + w, ....  A seed a child does not send (it raised,
-    or the child died) runs in this process, which raises its error.  A
-    seed's fit is the same computation in any process, so its results are
-    bitwise the same at any worker count.
-    """
-    w = min(data.usable_cpus(), seeds)
-    shares = [range(i, seeds, w) for i in range(1, w)]
-    with data.forked(_send_seeds, shares, suite) as sources:
-        for seed in range(seeds):
-            result = None
-            if seed % w:
-                with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    result = pickle.load(sources[seed % w - 1])
-            yield _bench_one(suite, seed) if result is None else result
-
-
 def cmd_bench(args):
     check_count(args.seeds, "--seeds")
     rows = []
-    for seed, result in enumerate(_bench_results(args.suite, args.seeds)):
+    # a seed's fit is the same computation in any process, so its results
+    # are bitwise the same at any worker count
+    results = data.forked_map(lambda seed: _bench_one(args.suite, seed),
+                              range(args.seeds))
+    for seed, result in enumerate(results):
         for method, accuracy in result.items():
             rows.append((method, seed, float(accuracy)))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -177,23 +173,24 @@ def cmd_bench(args):
 
 
 def cmd_diagnose(args):
-    model = core.load_model(args.model)
-    X_s = data.load_features(args.source)
-    X_t = data.load_features(args.target)
-    truth = data.load_labels(args.true_labels)
-    ratio_model = diagnostics.kliep_fit(X_s, X_t, num_centers=args.centers,
-                                        bandwidth=args.bandwidth,
-                                        seed=args.kliep_seed)
-    report = diagnostics.anchoring_report(model, X_t, truth, ratio_model,
-                                          fraction=args.fraction)
-    report["bandwidth"] = ratio_model.bandwidth
-    report["num_centers"] = int(ratio_model.centers.shape[0])
-    data.atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
-    if args.out_csv:
-        rows = [("bottom", args.kliep_seed, float(report["bottom"]["acc"])),
-                ("top", args.kliep_seed, float(report["top"]["acc"]))]
-        _write_csv(args.out_csv, ["method", "seed", "accuracy"], rows)
-    return 0
+    with _outputs(*filter(None, [args.out, args.out_csv])) as outs:
+        model = core.load_model(args.model)
+        X_s = data.load_features(args.source)
+        X_t = data.load_features(args.target)
+        truth = data.load_labels(args.true_labels)
+        ratio_model = diagnostics.kliep_fit(X_s, X_t, num_centers=args.centers,
+                                            bandwidth=args.bandwidth,
+                                            seed=args.kliep_seed)
+        report = diagnostics.anchoring_report(model, X_t, truth, ratio_model,
+                                              fraction=args.fraction)
+        report["bandwidth"] = ratio_model.bandwidth
+        report["num_centers"] = int(ratio_model.centers.shape[0])
+        data.atomic_write_text(outs[0], json.dumps(report, indent=2) + "\n")
+        if args.out_csv:
+            rows = [("bottom", args.kliep_seed, float(report["bottom"]["acc"])),
+                    ("top", args.kliep_seed, float(report["top"]["acc"]))]
+            _write_csv(outs[1], ["method", "seed", "accuracy"], rows)
+        return 0
 
 
 def build_parser():

@@ -17,6 +17,7 @@ import contextlib
 import io
 import itertools
 import os
+import pickle
 import signal
 import stat
 import struct
@@ -197,35 +198,51 @@ def _csv_ranges(fh, size, parts):
     return list(zip(cuts, cuts[1:]))
 
 
+def forked_map(fn, items):
+    """Yield fn(item) for each item of the sequence items, in order.
+
+    In w processes, one per usable CPU and at most one per item, this one
+    computes items 0, w, 2w, ... and forked child i items i, i + w, ....
+    An item a child does not send (it raised or died, or its pipe or fork
+    failed) is computed here, so the results, or the error, are map's."""
+    w = min(usable_cpus(), len(items))
+    with _forked(fn, [items[i::w] for i in range(1, w)]) as sources:
+        for i, item in enumerate(items):
+            if i % w:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    yield pickle.load(sources[i % w - 1])
+                    continue
+            yield fn(item)
+
+
 @contextlib.contextmanager
-def forked(send, shares, *args):
-    """Fork one child per share, each running send(share, sink, *args) into
-    the write end of its own pipe, with no read end open, then os._exit
-    (also when send raises); yield the read ends, in share order.  A share
-    whose fork fails (EAGAIN or ENOMEM at a process or memory limit) gets a
-    pipe with no writer.  Callers redo in this process what a child does
-    not send.  On exit every child is killed and reaped (killing one that
-    has exited is harmless).  A child's next write fails once this process
-    is gone, so no child outlives it for long."""
+def _forked(fn, shares):
+    """Fork one child per share, which pickles fn(item) for each item of
+    the share, flushed at once, up to the first that raises, into its own
+    pipe, holding no read end, then os._exit; a full pipe stops it until
+    this process reads.  Yield the read ends, in share order; a share whose
+    pipe or fork fails (EMFILE, EAGAIN, ENOMEM) gets one that reads as
+    empty.  On exit every child is killed and reaped.  A child's next write
+    fails once this process is gone, so no child outlives it for long."""
     pids, sources = [], []
     try:
         for share in shares:
-            read_end, write_end = os.pipe()
-            sources.append(open(read_end, "rb"))
-            with open(write_end, "wb") as sink:
-                try:
+            sources.append(io.BytesIO())
+            with contextlib.suppress(OSError):
+                read_end, write_end = os.pipe()
+                sources[-1] = open(read_end, "rb")
+                with open(write_end, "wb") as sink:
                     pid = os.fork()
-                except OSError:
-                    continue
-                if pid == 0:
-                    try:
-                        for source in sources:
-                            source.close()
-                        send(share, sink, *args)
-                        sink.flush()
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
+                    if pid == 0:
+                        try:
+                            for source in sources:
+                                source.close()
+                            for item in share:
+                                pickle.dump(fn(item), sink, pickle.HIGHEST_PROTOCOL)
+                                sink.flush()
+                        finally:
+                            os._exit(0)
+                    pids.append(pid)
         yield sources
     finally:
         for pid in pids:
@@ -235,51 +252,23 @@ def forked(send, shares, *args):
             source.close()
 
 
-def _send_range(share, sink, fd, path):
-    """In a forked child: write byte range share's matrix, shape first."""
-    X = _read_range(fd, *share, path)
-    sink.write(struct.pack("=QQ", *X.shape))
-    sink.write(X)
-
-
 def _read_csv_split(fh, path):
-    """The matrix of the CSV open as fh, parsed in byte ranges at the same
-    time: this process parses the first and a forked child each other one,
-    sending it back through a pipe.  None when the file is not split (one
-    usable CPU, a file that is not regular or below CSV_SPLIT_BYTES, or one
-    line) or when any range fails, so that the caller reads the whole file
-    in this process, raising that read's error."""
+    """The matrix of the CSV open as fh, its byte ranges parsed by
+    forked_map.  None when the file is not split (one usable CPU, a file
+    that is not regular or below CSV_SPLIT_BYTES, or one line) or when a
+    range fails or the ranges' column counts differ, so that the caller
+    reads the whole file in this process, raising that read's error."""
     fd = fh.fileno()
     info = os.fstat(fd)
-    parts = usable_cpus()
-    if (parts < 2 or not stat.S_ISREG(info.st_mode)
-            or info.st_size < CSV_SPLIT_BYTES):
+    if not stat.S_ISREG(info.st_mode) or info.st_size < CSV_SPLIT_BYTES:
         return None
-    ranges = _csv_ranges(fh, info.st_size, parts)
+    ranges = _csv_ranges(fh, info.st_size, usable_cpus())
     if len(ranges) < 2:
         return None
     try:
-        with forked(_send_range, ranges[1:], fd, path) as sources:
-            first = _read_range(fd, *ranges[0], path)
-            shapes = [first.shape]
-            for src in sources:
-                header = src.read(16)
-                if len(header) != 16:
-                    return None
-                shapes.append(struct.unpack("=QQ", header))
-            if any(cols != first.shape[1] for _, cols in shapes):
-                return None
-            X = np.empty((sum(rows for rows, _ in shapes), first.shape[1]))
-            X[:first.shape[0]] = first
-            row = first.shape[0]
-            del first
-            for src, (rows, _) in zip(sources, shapes[1:]):
-                block = X[row:row + rows]
-                if src.readinto(block) != block.nbytes:
-                    return None
-                row += rows
-            return X
-    except (ParseError, OSError, MemoryError):
+        return np.concatenate(list(forked_map(
+            lambda share: _read_range(fd, *share, path), ranges)))
+    except (ParseError, OSError, MemoryError, ValueError):
         return None
 
 

@@ -488,25 +488,38 @@ def test_bench_worker_failure_exit_2(tmp_path, monkeypatch, capfd, fail, message
     assert captured.out == ""
 
 
-def _send_half_of_seed_3(share, sink, suite):
-    # a child that dies while it writes seed 3's result
-    pickle.dump(cli._bench_one(suite, 1), sink)
-    sink.write(pickle.dumps(cli._bench_one(suite, 3))[:20])
-    sink.flush()
-    os._exit(1)
+def _dump_half_of_seed_3(dump=pickle.dump):
+    """A pickle.dump for a child at two CPUs: it dies while it writes its
+    second result, seed 3's."""
+    dumped = []
+
+    def dump_or_die(obj, sink, protocol):
+        dumped.append(obj)
+        if len(dumped) == 2:
+            sink.write(pickle.dumps(obj, protocol)[:20])
+            sink.flush()
+            os._exit(1)
+        dump(obj, sink, protocol)
+    return dump_or_die
 
 
 def _fork_fails():
     raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 
-@pytest.mark.parametrize("death", ["exit_on_seed_3", "dying_mid_write", "fork_fails"])
+def _pipe_fails():
+    raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+
+@pytest.mark.parametrize("death", ["exit_on_seed_3", "dying_mid_write", "fork_fails",
+                                   "pipe_fails"])
 def test_bench_runs_unsent_seeds_in_process(tmp_path, monkeypatch, capsys, death):
     # at two CPUs the child's share is seeds 1, 3, 5 and 7.  A child that
     # exits as it reaches seed 3, or dies while it writes seed 3's result,
-    # sends no seed from 3 on, and a fork that fails at a process limit
-    # leaves no child to send any; this process runs each seed not sent, so
-    # the bench writes the CSV and prints the means of a one-CPU run
+    # sends no seed from 3 on, and a fork that fails at a process limit, or
+    # a pipe that fails with no descriptor free, leaves no child to send
+    # any; this process runs each seed not sent, so the bench writes the
+    # CSV and prints the means of a one-CPU run
     one_cpu = _bench_csv(tmp_path, monkeypatch, "pda", {0}, capsys)
     parent, bench_one, ran = os.getpid(), cli._bench_one, []
 
@@ -519,10 +532,12 @@ def test_bench_runs_unsent_seeds_in_process(tmp_path, monkeypatch, capsys, death
 
     monkeypatch.setattr(cli, "_bench_one", fake)
     if death == "dying_mid_write":
-        monkeypatch.setattr(cli, "_send_seeds", _send_half_of_seed_3)
+        monkeypatch.setattr(pickle, "dump", _dump_half_of_seed_3())
     if death == "fork_fails":
         monkeypatch.setattr(os, "fork", _fork_fails)
-    forks = 0 if death == "fork_fails" else 1
+    if death == "pipe_fails":
+        monkeypatch.setattr(os, "pipe", _pipe_fails)
+    forks = 0 if death in ("fork_fails", "pipe_fails") else 1
     assert _bench_csv(tmp_path, monkeypatch, "pda", {0, 1}, capsys) == (
         one_cpu[0], one_cpu[1], forks)
     assert ran == (list(range(8)) if forks == 0 else [0, 2, 3, 4, 5, 6, 7])
@@ -562,6 +577,54 @@ def test_diagnose_end_to_end(tmp_path):
     lines = read_text(csv_out).strip().split("\n")
     assert lines[0] == "method,seed,accuracy"
     assert lines[1].startswith("bottom,0,") and lines[2].startswith("top,0,")
+
+
+def _outputs_argv(command, data_prefix, model, out, last):
+    """argv of a command with several outputs, each in the directory out,
+    the last of them at path `last`."""
+    inputs = ["--source", data_prefix + "_source.csv",
+              "--target", data_prefix + "_target.csv"]
+    if command == "fit":
+        return ["fit", *inputs, "--labels", data_prefix + "_source_labels.csv",
+                "--out-model", str(out / "m.json"), "--trace-csv", last]
+    if command == "synth":
+        return synth_args(str(out / "d"))
+    return ["diagnose", *inputs, "--model", model,
+            "--true-labels", data_prefix + "_target_labels.csv",
+            "--out", str(out / "r.json"), "--out-csv", last]
+
+
+@pytest.mark.parametrize("command", ["fit", "synth", "diagnose"])
+def test_an_output_that_is_a_directory_leaves_no_output(tmp_path, capsys, command):
+    # the last output (the trace CSV, the target features, the CSV rows) is
+    # an existing directory: the command exits 2 before it writes anything
+    prefix = make_data(tmp_path / "in", per_class=40)
+    model, _ = run_fit(tmp_path / "in", prefix)
+    out = tmp_path / "out"
+    busy = out / ("d_target.csv" if command == "synth" else "busy")
+    busy.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(_outputs_argv(command, prefix, model, out, str(busy))) == 2
+    assert os.listdir(out) == [busy.name]
+    assert capsys.readouterr().err == (
+        "error: output is a directory: %s\n" % busy)
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_a_failed_last_output_leaves_no_output(tmp_path, command):
+    # the last output's directory does not exist, so its temp file cannot
+    # be made; the output written before it is never renamed over the file
+    # already at its path, and its temp file is removed
+    prefix = make_data(tmp_path / "in", per_class=40)
+    model, _ = run_fit(tmp_path / "in", prefix)
+    out = tmp_path / "out"
+    first = out / ("m.json" if command == "fit" else "r.json")
+    out.mkdir()
+    first.write_bytes(b"old\n")
+    assert main(_outputs_argv(command, prefix, model, out,
+                              str(out / "missing" / "last.csv"))) == 2
+    assert os.listdir(out) == [first.name]
+    assert first.read_bytes() == b"old\n"
 
 
 def test_diagnose_rerun_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import errno
 import os
+import pickle
 import signal
 import struct
 import subprocess
@@ -160,8 +161,9 @@ def allow_cpus(monkeypatch, count):
 def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fmt):
     # a save holds one block of rows' text or bytes and a load the matrix
     # and loadtxt's line, where the whole file's text is 8 blocks here; at
-    # two CPUs a CSV load forks one child, and this process also holds the
-    # half of the rows it parsed
+    # two CPUs a CSV load forks one child, and this process holds every
+    # range's rows (its own half and the child's) plus the matrix they are
+    # joined into
     X = np.random.default_rng(3).normal(size=(8192, 64))
     # repr of a float64 takes at most 24 characters, plus its separator
     block = IO_BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
@@ -175,35 +177,61 @@ def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fm
         assert_no_child_left()
 
 
-def _send_prefix(sent):
-    """A _send_range that sends only the first `sent` bytes of its range's
-    shape and matrix (all of them for None), then exits 1."""
-    def send(share, sink, fd, path):
-        X = data._read_range(fd, *share, path)
-        sink.write((struct.pack("=QQ", *X.shape) + X.tobytes())[:sent])
+def record_parses(monkeypatch):
+    """Patch the CSV parsers; the lists returned collect the byte range of
+    each range this process parses, and the path of each parse (a range's,
+    or the whole file's)."""
+    ranges, parses = [], []
+    real_range, real_parse = data._read_range, data._read_csv_lines
+
+    def read_range(fd, start, end, path):
+        ranges.append((start, end))
+        return real_range(fd, start, end, path)
+
+    monkeypatch.setattr(data, "_read_range", read_range)
+    monkeypatch.setattr(data, "_read_csv_lines",
+                        lambda fh, path: parses.append(path) or real_parse(fh, path))
+    return ranges, parses
+
+
+def split_csv(tmp_path, monkeypatch, seed, cpus):
+    """A saved 300 x 5 matrix, the path of its CSV and the byte ranges a
+    load at `cpus` CPUs cuts it into, the split floor set to one byte."""
+    X = np.random.default_rng(seed).normal(size=(300, 5))
+    p = str(tmp_path / "f.csv")
+    save_features(p, X)
+    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    with open(p, "rb") as fh:
+        ranges = data._csv_ranges(fh, os.path.getsize(p), cpus)
+    assert len(ranges) == cpus
+    return X, p, ranges
+
+
+def _dump_prefix(sent):
+    """A pickle.dump for a child that sends only the first `sent` bytes of
+    its result (all of them for None), then exits 1."""
+    def dump_and_exit(obj, sink, protocol):
+        sink.write(pickle.dumps(obj, protocol)[:sent])
         sink.close()
         os._exit(1)
-    return send
+    return dump_and_exit
 
 
 @pytest.mark.parametrize("sent", [0, 16, 24, None])
 def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
-    # each child exits 1 before it writes anything, after the shape, or
-    # after one value; this process parses its own range, then the whole
-    # file, and reaps both children.  Children that exit 1 after sending
-    # all their bytes are read, with no second parse: the fake runs
-    X = np.random.default_rng(4).normal(size=(300, 5))
-    p = str(tmp_path / "f.csv")
-    save_features(p, X)
-    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    # at three CPUs each child exits 1 before it writes anything, or after
+    # 16 or 24 bytes of its result; this process parses that child's range
+    # again, so the bytes it parses sum to the file's size, and never reads
+    # the whole file again.  Children that exit 1 after sending all their
+    # bytes are read, and this process parses its own range only
+    X, p, ranges = split_csv(tmp_path, monkeypatch, 4, 3)
     forks = allow_cpus(monkeypatch, 3)
-    monkeypatch.setattr(data, "_send_range", _send_prefix(sent))
-    parses = []
-    real_parse = data._read_csv_lines
-    monkeypatch.setattr(data, "_read_csv_lines",
-                        lambda fh, path: parses.append(path) or real_parse(fh, path))
+    monkeypatch.setattr(pickle, "dump", _dump_prefix(sent))
+    parsed, parses = record_parses(monkeypatch)
     assert load_features(p).tobytes() == X.tobytes()
-    assert len(forks) == 2 and len(parses) == (1 if sent is None else 2)
+    assert len(forks) == 2
+    assert parsed == (ranges[:1] if sent is None else ranges)
+    assert len(parses) == len(parsed)
     assert_no_child_left()
 
 
@@ -211,11 +239,9 @@ def test_split_load_reads_again_when_a_child_dies(tmp_path, monkeypatch, sent):
 def test_split_load_reads_again_when_fork_fails(tmp_path, monkeypatch, failing):
     # at three CPUs the first fork, or every fork, fails as at a process
     # limit (EAGAIN); that range's pipe has no writer, so this process
-    # parses its own range, then the whole file, and reaps any child
-    X = np.random.default_rng(5).normal(size=(300, 5))
-    p = str(tmp_path / "f.csv")
-    save_features(p, X)
-    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    # parses its own range and each range not sent, never the whole file,
+    # and reaps any child
+    X, p, ranges = split_csv(tmp_path, monkeypatch, 5, 3)
     forks = allow_cpus(monkeypatch, 3)
     counting_fork, attempts = os.fork, []
 
@@ -226,17 +252,32 @@ def test_split_load_reads_again_when_fork_fails(tmp_path, monkeypatch, failing):
         return counting_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    parses = []
-    real_parse = data._read_csv_lines
-    monkeypatch.setattr(data, "_read_csv_lines",
-                        lambda fh, path: parses.append(path) or real_parse(fh, path))
+    parsed, parses = record_parses(monkeypatch)
     assert load_features(p).tobytes() == X.tobytes()
     assert len(attempts) == 2 and len(forks) == (1 if failing == "first" else 0)
-    assert len(parses) == 2
+    assert parsed == (ranges[:2] if failing == "first" else ranges)
+    assert len(parses) == len(parsed)
     assert_no_child_left()
 
 
-# forks one child that writes without end, then sleeps; prints its pid
+def test_split_load_parses_in_process_when_no_pipe_is_left(tmp_path, monkeypatch):
+    # at two CPUs the pipe cannot be made, as when every descriptor is in
+    # use (EMFILE); nothing is forked, and this process parses both ranges
+    X, p, ranges = split_csv(tmp_path, monkeypatch, 6, 2)
+    forks = allow_cpus(monkeypatch, 2)
+
+    def pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    parsed, parses = record_parses(monkeypatch)
+    assert load_features(p).tobytes() == X.tobytes()
+    assert forks == [] and parsed == ranges and len(parses) == 2
+    assert_no_child_left()
+
+
+# at two CPUs forks one child, which sends results without end, and
+# prints its pid; this process computes item 0, then sleeps
 ORPHAN_PROBE = """
 import os
 import time
@@ -253,14 +294,10 @@ def fork():
     return pid
 
 
-def send(share, sink):
-    while True:
-        sink.write(bytes(1 << 16))
-
-
 os.fork = fork
-with data.forked(send, [0]):
-    time.sleep(60)
+os.sched_getaffinity = lambda pid: {0, 1}
+next(data.forked_map(lambda item: bytes(1 << 16), range(1 << 40)))
+time.sleep(60)
 """
 
 

@@ -33,7 +33,7 @@ from pas.data import (
     save_features,
     save_labels,
 )
-from conftest import read_text
+from conftest import assert_no_child_left, read_text
 
 ROUND_TRIP = settings(derandomize=True, max_examples=60, deadline=None)
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None)
@@ -119,6 +119,27 @@ def test_split_csv_load_matches_one_process(raw, cpus):
         with open(path, "wb") as fh:
             fh.write(raw)
         assert load_outcome(path, cpus) == load_outcome(path, 1)
+
+
+@FUZZ
+@given(items=st.lists(st.integers(0, 20), max_size=12), cpus=st.integers(1, 4),
+       exit_on=st.none() | st.integers(0, 20))
+def test_forked_map_is_map(items, cpus, exit_on):
+    # a child exits as it reaches an item equal to exit_on, so it sends none
+    # from there on, and this process computes each item not sent
+    parent = os.getpid()
+
+    def fn(item):
+        if item == exit_on and os.getpid() != parent:
+            os._exit(1)
+        return item, item / 7, np.full(item, item)
+
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        got = list(data.forked_map(fn, items))
+    assert_no_child_left()
+    want = list(map(fn, items))
+    assert [(a, b, c.tobytes()) for a, b, c in got] == [
+        (a, b, c.tobytes()) for a, b, c in want]
 
 
 # --- malformed inputs -------------------------------------------------------
