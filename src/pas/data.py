@@ -42,8 +42,13 @@ MEAN_DRAW_TRIES = 1000
 IO_BLOCK_ROWS = 1024
 # a regular CSV file of at least this many bytes is parsed in byte ranges,
 # one per usable CPU, at the same time; near 1 MiB a fork and its pipe
-# cost about what the second CPU saves, and from 2 MiB the split is faster
+# cost about what the second CPU saves, and from 2 MiB the split is faster.
+# A matrix whose CSV text is estimated at this size or more is formatted
+# in blocks the same way
 CSV_SPLIT_BYTES = 2 << 20
+# the estimate's bytes per CSV cell: a float64 of unit scale takes 17
+# significant digits, a point, often a sign, and a separator
+CSV_CELL_BYTES = 19
 # labels are held as int64
 LABEL_MAX = np.iinfo(np.int64).max
 # str.strip() would also drop Unicode spaces
@@ -171,15 +176,18 @@ class _RangeReader(io.RawIOBase):
 
 def _read_range(fd, start, end, path):
     """The matrix of the CSV lines in bytes [start, end) of fd, decoded as
-    open(path) decodes the whole file.  A range starts just after a "\n",
-    where every decoder of a locale encoding is at a character and a line
-    start, so it holds the same lines as the whole file's read."""
+    open(path) decodes the whole file, or None where that parse fails or
+    the file shrank.  A range starts just after a "\n", where every decoder
+    of a locale encoding is at a character and a line start, so it holds
+    the same lines as the whole file's read."""
     raw = _RangeReader(fd, start, end)
-    with io.TextIOWrapper(io.BufferedReader(raw)) as fh:
-        X = _read_csv_lines(fh, path)
-    if raw.pos != end:
-        raise ParseError("%s: shrank while read" % path)
-    return X
+    try:
+        with io.TextIOWrapper(io.BufferedReader(raw)) as fh:
+            X = _read_csv_lines(fh, path)
+    except ParseError:
+        # a result a child sends, so that no process parses the range again
+        return None
+    return X if raw.pos == end else None
 
 
 def _csv_ranges(fh, size, parts):
@@ -266,9 +274,12 @@ def _read_csv_split(fh, path):
     if len(ranges) < 2:
         return None
     try:
-        return np.concatenate(list(forked_map(
-            lambda share: _read_range(fd, *share, path), ranges)))
-    except (ParseError, OSError, MemoryError, ValueError):
+        with contextlib.closing(forked_map(
+                lambda share: _read_range(fd, *share, path), ranges)) as results:
+            # the first range that fails ends the map and its children
+            parts = list(itertools.takewhile(lambda part: part is not None, results))
+        return np.concatenate(parts) if len(parts) == len(ranges) else None
+    except (OSError, MemoryError, ValueError):
         return None
 
 
@@ -294,27 +305,47 @@ def _read_pasm(fh, path):
 
 def save_features(path, X, fmt="csv"):
     """Write a feature matrix, IO_BLOCK_ROWS rows at a time; CSV floats use
-    repr so values round-trip exactly."""
+    repr so values round-trip exactly.
+
+    A matrix whose CSV text is estimated at CSV_SPLIT_BYTES or more
+    (CSV_CELL_BYTES per cell) has its blocks formatted by forked_map, in
+    this process and in forked children, and written in order, so the
+    bytes are those of the one-process write.  No child outlives the call,
+    an error's included."""
     X = np.asarray(X, dtype=float)
     if fmt == "csv":
         blocks = _csv_blocks(X)
     elif fmt == "bin":
-        header = struct.pack("<4sII", b"PASM", X.shape[0], X.shape[1])
-        blocks = itertools.chain([header], (
-            np.ascontiguousarray(X[start:start + IO_BLOCK_ROWS], dtype="<f8")
-            for start in range(0, X.shape[0], IO_BLOCK_ROWS)))
+        blocks = _pasm_blocks(X)
     else:
         raise ConfigError("unknown feature format %r" % (fmt,))
-    atomic_write_bytes(path, blocks)
+    # a failed write closes the blocks here, reaping a forked map's
+    # children, not when its error is dropped
+    with contextlib.closing(blocks):
+        atomic_write_bytes(path, blocks)
 
 
 def _csv_blocks(X):
     """The CSV text of X, encoded one block of rows at a time, each row's
     Python floats made one row at a time; zero rows give the one "\n"."""
-    for start in range(0, max(X.shape[0], 1), IO_BLOCK_ROWS):
+    def text(start):
         lines = [",".join(map(repr, row.tolist()))
                  for row in X[start:start + IO_BLOCK_ROWS]]
-        yield ("\n".join(lines) + "\n").encode()
+        return ("\n".join(lines) + "\n").encode()
+
+    starts = range(0, max(X.shape[0], 1), IO_BLOCK_ROWS)
+    if X.size * CSV_CELL_BYTES < CSV_SPLIT_BYTES:
+        yield from map(text, starts)
+    else:
+        yield from forked_map(text, starts)
+
+
+def _pasm_blocks(X):
+    """The PASM header, then X's rows as little-endian float64, one block
+    of rows at a time."""
+    yield struct.pack("<4sII", b"PASM", X.shape[0], X.shape[1])
+    for start in range(0, X.shape[0], IO_BLOCK_ROWS):
+        yield np.ascontiguousarray(X[start:start + IO_BLOCK_ROWS], dtype="<f8")
 
 
 def load_labels(path):

@@ -122,6 +122,12 @@ def test_csv_cells_match_per_value_repr(tmp_path):
     assert p.read_text() == "\n".join(lines) + "\n"
 
 
+def csv_oracle(X):
+    """The CSV bytes of X as save_features wrote them in one process."""
+    lines = [",".join(map(repr, row.tolist())) for row in X]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_blocked_files_match_whole_file_oracles(tmp_path):
     # the whole file's text and PASM bytes, as save_features once built
     # them, are the oracles for its blocks, here past two block boundaries
@@ -129,8 +135,7 @@ def test_blocked_files_match_whole_file_oracles(tmp_path):
     X = np.asfortranarray(np.random.default_rng(2).normal(size=(2 * IO_BLOCK_ROWS + 1, 3)))
     p = tmp_path / "f"
     save_features(str(p), X)
-    lines = [",".join(map(repr, row.tolist())) for row in X]
-    assert p.read_text() == "\n".join(lines) + "\n"
+    assert p.read_bytes() == csv_oracle(X)
     save_features(str(p), X, fmt="bin")
     assert p.read_bytes() == b"PASM" + struct.pack("<II", *X.shape) + X.astype("<f8").tobytes()
     # zero rows: one newline, and a header alone
@@ -161,20 +166,94 @@ def allow_cpus(monkeypatch, count):
 def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fmt):
     # a save holds one block of rows' text or bytes and a load the matrix
     # and loadtxt's line, where the whole file's text is 8 blocks here; at
-    # two CPUs a CSV load forks one child, and this process holds every
-    # range's rows (its own half and the child's) plus the matrix they are
-    # joined into
+    # two CPUs a CSV save forks one child, which formats every other block
+    # while this process holds the block it writes, and a CSV load forks
+    # one child, and this process holds every range's rows (its own half
+    # and the child's) plus the matrix they are joined into
     X = np.random.default_rng(3).normal(size=(8192, 64))
     # repr of a float64 takes at most 24 characters, plus its separator
     block = IO_BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
     p = str(tmp_path / "f")
-    assert traced_peak(lambda: save_features(p, X, fmt=fmt)) <= X.nbytes + 4 * block
     for cpus in (1, 2):
         forks = allow_cpus(monkeypatch, cpus)
+        assert traced_peak(lambda: save_features(p, X, fmt=fmt)) <= X.nbytes + 4 * block
         assert traced_peak(lambda: load_features(p)) <= X.nbytes + 4 * block
         assert load_features(p).tobytes() == X.tobytes()
-        assert len(forks) == (2 * (cpus - 1) if fmt == "csv" else 0)
+        assert len(forks) == (3 * (cpus - 1) if fmt == "csv" else 0)
         assert_no_child_left()
+
+
+# rows of 64 columns, and the fewest of them whose estimated CSV text
+# (CSV_CELL_BYTES a cell) reaches the gate
+ROWS = np.random.default_rng(8).normal(scale=3, size=(2 * IO_BLOCK_ROWS + 1, 64))
+GATE_ROWS = -(-data.CSV_SPLIT_BYTES // (data.CSV_CELL_BYTES * 64))
+
+
+# a matrix, and the children its save forks at two CPUs
+@pytest.mark.parametrize("X, forks", [
+    (ROWS[:0], 0),                                  # zero rows: one "\n"
+    (ROWS[:GATE_ROWS - 1], 0),                      # just below the gate
+    (ROWS[:GATE_ROWS], 1),                          # just above it
+    (np.hstack([ROWS[:IO_BLOCK_ROWS]] * 2), 0),     # above it, but one block
+    (np.asfortranarray(ROWS), 1)],                  # three blocks, not C-ordered
+    ids=["zero_rows", "below_gate", "above_gate", "one_block", "fortran"])
+def test_csv_save_is_the_one_process_save(tmp_path, monkeypatch, X, forks):
+    # at one CPU nothing is forked; at two a matrix whose estimated text
+    # reaches the gate and that has more than one block forks one child,
+    # which formats blocks 1, 3, ...; the bytes are the one-process
+    # oracle's either way
+    p = tmp_path / "f.csv"
+    for cpus in (1, 2):
+        made = allow_cpus(monkeypatch, cpus)
+        save_features(str(p), X)
+        assert p.read_bytes() == csv_oracle(X)
+        assert len(made) == (forks if cpus == 2 else 0)
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent", [0, 16, None])
+def test_csv_save_formats_what_a_dead_child_did_not_send(tmp_path, monkeypatch, sent):
+    # the child of a two-CPU save exits 1 before it sends its first block,
+    # or part way through it, or after sending all of it; this process
+    # formats every block the child did not send, so the bytes are the same
+    X = np.random.default_rng(9).normal(size=(3 * IO_BLOCK_ROWS + 5, 64))
+    forks = allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pickle, "dump", _dump_prefix(sent))
+    p = tmp_path / "f.csv"
+    save_features(str(p), X)
+    assert p.read_bytes() == csv_oracle(X) and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_failed_csv_save_leaves_no_child_nor_temp_file(tmp_path, monkeypatch):
+    # the disk fills after the first block is written.  While the error is
+    # still held, and with it the frame of save_features and the blocks it
+    # was writing, the child that formats blocks 1, 3, ... is already
+    # reaped and the temp file removed
+    forks = allow_cpus(monkeypatch, 2)
+    real_open = open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, str) and "w" in mode:
+            real_write, written = fh.write, []
+
+            def write(block):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(len(block))
+                return real_write(block)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(data, "open", full_disk_open, raising=False)
+    X = np.random.default_rng(10).normal(size=(2 * IO_BLOCK_ROWS + 1, 64))
+    with pytest.raises(OSError) as failed:
+        save_features(str(tmp_path / "f.csv"), X)
+    assert failed.value.errno == errno.ENOSPC and len(forks) == 1
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == []
 
 
 def record_parses(monkeypatch):
@@ -257,6 +336,29 @@ def test_split_load_reads_again_when_fork_fails(tmp_path, monkeypatch, failing):
     assert len(attempts) == 2 and len(forks) == (1 if failing == "first" else 0)
     assert parsed == (ranges[:2] if failing == "first" else ranges)
     assert len(parses) == len(parsed)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_a_bad_value_is_parsed_once_in_its_range(tmp_path, monkeypatch, bad):
+    # a bad value in this process's range (0) or in the child's (1): the
+    # range's failure is its result, sent as any other, so no process
+    # parses that range again.  This process parses its range and then
+    # the whole file, whose error is the one-process read's
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"1,x\n3,4\n5,6\n7,8\n" if bad == 0 else b"1,2\n3,4\n5,6\n7,x\n")
+    monkeypatch.setattr(data, "CSV_SPLIT_BYTES", 1)
+    allow_cpus(monkeypatch, 1)
+    with pytest.raises(ParseError) as one:
+        load_features(str(p))
+    forks = allow_cpus(monkeypatch, 2)
+    parsed, parses = record_parses(monkeypatch)
+    with pytest.raises(ParseError) as split:
+        load_features(str(p))
+    assert type(split.value) is type(one.value) and str(split.value) == str(one.value)
+    with open(p, "rb") as fh:
+        ranges = data._csv_ranges(fh, 16, 2)
+    assert len(forks) == 1 and parsed == ranges[:1] and parses == [str(p)] * 2
     assert_no_child_left()
 
 
