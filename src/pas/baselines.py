@@ -3,15 +3,14 @@
 import numpy as np
 
 from .core import PasConfig, PasModel, SourceLabels, fit_class_subspaces
+from .data import BLOCK_ROWS
 from .errors import EmptySelection, check_labels, check_matrix
 
-# target rows per score block and source rows per tile: memory stays at
-# one NN1_CHUNK_ROWS x NN1_TILE_COLS tile of scores instead of m x n
-# distances
-NN1_CHUNK_ROWS = 1024
-# on 10,000 target rows at d = 64, 2,048 columns took the time of 4,096 with
-# half the tile, and less than 512, 1,024 or one 1,024 x n block
-# (BENCH_nn1_tiles.json)
+# source rows per tile: with BLOCK_ROWS target rows per score block, memory
+# stays at one BLOCK_ROWS x NN1_TILE_COLS tile of scores instead of m x n
+# distances.  On 10,000 target rows at d = 64, 2,048 columns took the time
+# of 4,096 with half the tile, and less than 512, 1,024 or one 1,024 x n
+# block (BENCH_nn1_tiles.json)
 NN1_TILE_COLS = 2048
 
 # Tie bound on the scores ||s'||^2 - 2t''s', where t' = 2^k (2^k_raw t - mu)
@@ -74,7 +73,7 @@ def _best_two(score):
 
 
 def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
-    """Score the target rows X_t[rows] in dtype, NN1_CHUNK_ROWS at a time,
+    """Score the target rows X_t[rows] in dtype, BLOCK_ROWS at a time,
     against S1 = [s', ||s'||^2] at the scales 2^k_raw and 2^k
     (NN1_TIE_REL), in tiles of NN1_TILE_COLS source rows, each cast to
     dtype into one reused buffer and scored into one tile buffer, and set
@@ -87,12 +86,12 @@ def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
     n, d = S1.shape[0], S1.shape[1] - 1
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).tiny)
     s_norm_max = np.sqrt(S1[:, d].max())
-    T = np.ones((min(NN1_CHUNK_ROWS, rows.size), d + 1), dtype=dtype)
+    T = np.ones((min(BLOCK_ROWS, rows.size), d + 1), dtype=dtype)
     t = np.empty((T.shape[0], d))
     tile = np.empty(T.shape[0] * min(NN1_TILE_COLS, n), dtype=dtype)
     S = np.empty((min(NN1_TILE_COLS, n), d + 1), dtype=dtype)
-    for start in range(0, rows.size, NN1_CHUNK_ROWS):
-        block = rows[start:start + NN1_CHUNK_ROWS]
+    for start in range(0, rows.size, BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
         b = block.size
         # t scaled by 2^k_raw is the recheck's row; mu - t and the scaling
         # by 2^(k + 1) are exact, so the product adds -2t''s' to ||s'||^2 as
@@ -147,11 +146,12 @@ def nn1_classify(source, X_t):
        and decided by cdist against every source row within the bound of
        its best.
 
-    Each pass scores NN1_CHUNK_ROWS target rows at a time against tiles of
+    Each pass scores data.BLOCK_ROWS (1,024) target rows at a time, the
+    block size of every blocked pass in pas, against tiles of
     NN1_TILE_COLS source rows, into one tile buffer freed before the next
     pass, and keeps each row's best index, best score and runner-up score
     across the tiles.  Memory stays at the scaled source, one tile of its
-    rows in the pass's precision and one NN1_CHUNK_ROWS x NN1_TILE_COLS
+    rows in the pass's precision and one BLOCK_ROWS x NN1_TILE_COLS
     float64 tile, whatever m and n.
     An empty source raises EmptySelection, and a label count other than
     one per source row RangeError.

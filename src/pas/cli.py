@@ -1,22 +1,21 @@
 """Command-line surface: fit, predict, synth, bench, diagnose.
 
 Every command is deterministic given its flags; reruns at the same BLAS
-thread count produce byte-identical outputs.  A command writes each output
-to a temp file and renames them once all are written, so error paths
-never leave partial output.  Exit codes: 0 success, 2 I/O/parse/config
-errors and inputs too large for memory, 3 dimension mismatch.
+thread count produce byte-identical outputs.  A command stages all its
+outputs through data.atomic_outputs before it reads any input, so outputs
+that are not distinct files exit 2 and no error path leaves partial
+output.  Exit codes: 0 success, 2 I/O/parse/config errors and inputs too
+large for memory, 3 dimension mismatch.
 """
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import baselines, core, data, diagnostics
-from .data import Shift, SynthConfig
+from .data import Shift, SynthConfig, atomic_outputs
 from .errors import DimensionMismatch, PasError, check_count
 
 EXIT_IO = 2
@@ -35,40 +34,14 @@ SUITES = {
 }
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    data.atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-@contextlib.contextmanager
-def _outputs(*paths):
-    """Refuse a path that is a directory, then yield a temp path for each
-    of paths, for the block to write; rename each over its path once the
-    block is done, or on a failure remove them all, renaming none."""
-    for path in paths:
-        if os.path.isdir(path):
-            raise IsADirectoryError("output is a directory: %s" % path)
-    tmps = ["%s.tmp.%d.%d" % (path, os.getpid(), i) for i, path in enumerate(paths)]
-    try:
-        yield tmps
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        raise
+    # str of a float is its repr, which round-trips
+    data.atomic_write_text(path, "".join(",".join(map(str, row)) + "\n"
+                                         for row in [header, *rows]))
 
 
 def cmd_fit(args):
-    with _outputs(args.out_model, args.trace_csv) as (model_out, trace_out):
+    with atomic_outputs(args.out_model, args.trace_csv) as (model_out, trace_out):
         source = data.load_labeled(args.source, args.labels)
         X_t = data.load_features(args.target)
         eval_labels = None
@@ -87,30 +60,26 @@ def cmd_fit(args):
         model.label_values = source.label_values
         core.save_model(model, model_out)
         header = ["stage", "fraction", "lambda", "anchored", "objective"]
+        rows = [[rec.stage, float(rec.fraction), float(rec.threshold),
+                 rec.anchored, float(rec.objective)] for rec in trace]
         if eval_labels is not None:
             header.append("pseudo_acc")
-        rows = []
-        for rec in trace:
-            row = [rec.stage, float(rec.fraction), float(rec.threshold),
-                   rec.anchored, float(rec.objective)]
-            if eval_labels is not None:
+            for row, rec in zip(rows, trace):
                 row.append(float(rec.pseudo_accuracy))
-            rows.append(row)
         _write_csv(trace_out, header, rows)
         return 0
 
 
 def cmd_predict(args):
-    model = core.load_model(args.model)
-    X = data.load_features(args.features)
-    data.save_labels(args.out, model.label_values[core.predict(model, X)])
+    with atomic_outputs(args.out) as (out,):
+        model = core.load_model(args.model)
+        X = data.load_features(args.features)
+        data.save_labels(out, model.label_values[core.predict(model, X)])
     return 0
 
 
 def cmd_synth(args):
-    keep = None
-    if args.pda_keep:
-        keep = tuple(int(tok) for tok in args.pda_keep.split(","))
+    keep = tuple(map(int, args.pda_keep.split(","))) if args.pda_keep else None
     cfg = SynthConfig(num_classes=args.classes, dim=args.dim,
                       per_class=args.per_class,
                       shift=Shift(rotation=args.rotation,
@@ -118,7 +87,7 @@ def cmd_synth(args):
                                   noise=args.noise),
                       pda_keep=keep, seed=args.seed)
     names = ("source", "source_labels", "target", "target_labels")
-    with _outputs(*("%s_%s.csv" % (args.out_prefix, n) for n in names)) as paths:
+    with atomic_outputs(*("%s_%s.csv" % (args.out_prefix, n) for n in names)) as paths:
         source, target = data.synth_shifted_pair(cfg)
         data.save_features(paths[0], source.features)
         data.save_labels(paths[1], source.labels)
@@ -156,16 +125,16 @@ def _bench_one(suite, seed):
 
 def cmd_bench(args):
     check_count(args.seeds, "--seeds")
-    rows = []
-    # a seed's fit is the same computation in any process, so its results
-    # are bitwise the same at any worker count
-    results = data.forked_map(lambda seed: _bench_one(args.suite, seed),
-                              range(args.seeds))
-    for seed, result in enumerate(results):
-        for method, accuracy in result.items():
-            rows.append((method, seed, float(accuracy)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(args.out_csv, ["method", "seed", "accuracy"], rows)
+    with atomic_outputs(args.out_csv) as (out,):
+        # a seed's fit is the same computation in any process, so its
+        # results are bitwise the same at any worker count
+        results = data.forked_map(lambda seed: _bench_one(args.suite, seed),
+                                  range(args.seeds))
+        # by method, then seed
+        rows = sorted((method, seed, float(accuracy))
+                      for seed, result in enumerate(results)
+                      for method, accuracy in result.items())
+        _write_csv(out, ["method", "seed", "accuracy"], rows)
     for method in sorted({r[0] for r in rows}):
         vals = [r[2] for r in rows if r[0] == method]
         print("%s mean accuracy: %.4f" % (method, float(np.mean(vals))))
@@ -173,7 +142,7 @@ def cmd_bench(args):
 
 
 def cmd_diagnose(args):
-    with _outputs(*filter(None, [args.out, args.out_csv])) as outs:
+    with atomic_outputs(*filter(None, [args.out, args.out_csv])) as outs:
         model = core.load_model(args.model)
         X_s = data.load_features(args.source)
         X_t = data.load_features(args.target)

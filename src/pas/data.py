@@ -37,9 +37,10 @@ MEAN_SCALE = 2.0
 # expected pairwise distance, so no seed starts with two classes merged
 MEAN_SEP_FRACTION = 0.9
 MEAN_DRAW_TRIES = 1000
-# rows per block a feature file is written in: a save holds one block's
-# text or bytes beside the matrix, not the whole file's
-IO_BLOCK_ROWS = 1024
+# rows per block of every blocked pass: a feature file is written, 1NN
+# scores its target rows and KLIEP sums its target kernel this many rows at
+# a time, so each holds one block beside its inputs
+BLOCK_ROWS = 1024
 # a regular CSV file of at least this many bytes is parsed in byte ranges,
 # one per usable CPU, at the same time; near 1 MiB a fork and its pipe
 # cost about what the second CPU saves, and from 2 MiB the split is faster.
@@ -304,7 +305,7 @@ def _read_pasm(fh, path):
 
 
 def save_features(path, X, fmt="csv"):
-    """Write a feature matrix, IO_BLOCK_ROWS rows at a time; CSV floats use
+    """Write a feature matrix, BLOCK_ROWS rows at a time; CSV floats use
     repr so values round-trip exactly.
 
     A matrix whose CSV text is estimated at CSV_SPLIT_BYTES or more
@@ -330,10 +331,10 @@ def _csv_blocks(X):
     Python floats made one row at a time; zero rows give the one "\n"."""
     def text(start):
         lines = [",".join(map(repr, row.tolist()))
-                 for row in X[start:start + IO_BLOCK_ROWS]]
+                 for row in X[start:start + BLOCK_ROWS]]
         return ("\n".join(lines) + "\n").encode()
 
-    starts = range(0, max(X.shape[0], 1), IO_BLOCK_ROWS)
+    starts = range(0, max(X.shape[0], 1), BLOCK_ROWS)
     if X.size * CSV_CELL_BYTES < CSV_SPLIT_BYTES:
         yield from map(text, starts)
     else:
@@ -344,8 +345,8 @@ def _pasm_blocks(X):
     """The PASM header, then X's rows as little-endian float64, one block
     of rows at a time."""
     yield struct.pack("<4sII", b"PASM", X.shape[0], X.shape[1])
-    for start in range(0, X.shape[0], IO_BLOCK_ROWS):
-        yield np.ascontiguousarray(X[start:start + IO_BLOCK_ROWS], dtype="<f8")
+    for start in range(0, X.shape[0], BLOCK_ROWS):
+        yield np.ascontiguousarray(X[start:start + BLOCK_ROWS], dtype="<f8")
 
 
 def load_labels(path):
@@ -382,7 +383,14 @@ def load_labels(path):
 
 
 def save_labels(path, labels):
-    atomic_write_text(path, "\n".join(str(int(v)) for v in labels) + "\n")
+    """Write labels one per line, as load_labels reads them; labels that
+    are not a nonempty 1-D sequence of integers in [0, LABEL_MAX] raise
+    RangeError, and nothing is written."""
+    labels = check_labels(labels, len(labels), path, np.int64)
+    # int64 holds no value above LABEL_MAX
+    if labels.size == 0 or labels.min() < 0:
+        raise RangeError("%s: labels must be nonempty and nonnegative" % path)
+    atomic_write_text(path, "\n".join(map(str, labels.tolist())) + "\n")
 
 
 def load_labeled(feature_path, label_path):
@@ -496,16 +504,37 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_bytes(path, blocks):
-    """Write the bytes-like blocks, in order, to a temp file, then rename it
-    to path; on any failure, a block source's own included, the temp file
-    is removed and path is left as it was."""
-    tmp = "%s.tmp.%d" % (path, os.getpid())
+    """Write the bytes-like blocks, in order, to path through
+    atomic_outputs, so a failure, a block source's own included, leaves
+    path as it was."""
+    with atomic_outputs(path) as (tmp,), open(tmp, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
+
+
+@contextlib.contextmanager
+def atomic_outputs(*paths):
+    """Yield a temp path for each of paths, for the block to write; rename
+    each over its path once the block is done, or on a failure remove them
+    all, renaming none.  Every file pas writes is staged here.
+
+    First a path that is a directory raises IsADirectoryError, and two
+    that resolve to one file (os.path.realpath) ConfigError.  A forked
+    child leaves by os._exit, never renaming or removing a temp file."""
+    seen = {}
+    for i, path in enumerate(paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError("output is a directory: %s" % path)
+        first = seen.setdefault(os.path.realpath(path), i)
+        if first != i:
+            raise ConfigError("outputs %s and %s name one file" % (paths[first], path))
+    tmps = ["%s.tmp.%d" % (path, os.getpid()) for path in paths]
     try:
-        with open(tmp, "wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise

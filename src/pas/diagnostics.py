@@ -16,6 +16,7 @@ import numpy as np
 # predict is not called here, but benchmarks/tracer.py patches
 # diagnostics.predict by name and fails on a missing attribute
 from .core import compute_distances, predict
+from .data import BLOCK_ROWS
 from .errors import (DegenerateKernel, EmptySelection, TooFewSamples, check_count,
                      check_fraction, check_labels, check_matrix, check_real)
 
@@ -26,9 +27,6 @@ MAX_STEP_SCALINGS = 60
 # ascent stops
 MAX_ASCENT_STEPS = 500
 ASCENT_TOL = 1e-7
-# target rows per kernel block in kliep_fit: the target side holds one
-# KLIEP_BLOCK_ROWS x centres block instead of m x centres
-KLIEP_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -64,7 +62,7 @@ def _kernel(X, centers, bandwidth):
 def _target_means(X_tgt, centers, bandwidth):
     """The kernel's column means over the target rows, the bits of
     _kernel(X_tgt, centers, bandwidth).mean(axis=0), computed
-    KLIEP_BLOCK_ROWS rows at a time."""
+    BLOCK_ROWS rows at a time."""
     if centers.shape[0] == 1:
         # numpy sums one column pairwise, not in row order; it is only m
         # floats, so it is taken whole
@@ -72,8 +70,8 @@ def _target_means(X_tgt, centers, bandwidth):
     # with two or more columns numpy sums axis 0 in row order, so the
     # running sum enters each block through its first row
     total = np.zeros(centers.shape[0])
-    for start in range(0, X_tgt.shape[0], KLIEP_BLOCK_ROWS):
-        block = _kernel(X_tgt[start:start + KLIEP_BLOCK_ROWS], centers, bandwidth)
+    for start in range(0, X_tgt.shape[0], BLOCK_ROWS):
+        block = _kernel(X_tgt[start:start + BLOCK_ROWS], centers, bandwidth)
         block[0] += total
         total = block.sum(axis=0)
     return total / X_tgt.shape[0]
@@ -131,8 +129,8 @@ def kliep_fit(X_src, X_tgt, num_centers=100, bandwidth=None, seed=0):
     clipped at zero and rescaled so the ratio averages to one over the
     target sample.
 
-    Memory stays at the (n, centres) source kernel plus one
-    KLIEP_BLOCK_ROWS-row block of the target kernel, whatever m: the target
+    Memory stays at the (n, centres) source kernel plus one block of the
+    target kernel, data.BLOCK_ROWS (1,024) rows, whatever m: the target
     enters only through the kernel's column means, summed block by block
     in the row order of mean(axis=0), so the fit is bit for bit that of the
     whole (m, centres) kernel.  With one centre that column, m floats, is

@@ -106,9 +106,12 @@ def check_labels(labels, rows, name, dtype=None):
     if dtype is None or not np.issubdtype(dtype, np.integer):
         return np.asarray(values, dtype=dtype)
     # a NaN or out-of-range float casts to garbage, which the comparison
-    # rejects
-    with np.errstate(invalid="ignore"):
-        labels = values.astype(dtype)
-    if (labels != values).any():
+    # rejects; a value no cast takes (an int beyond 64 bits) raises
+    try:
+        with np.errstate(invalid="ignore"):
+            labels = values.astype(dtype)
+    except (OverflowError, TypeError, ValueError):
+        labels = None
+    if labels is None or (labels != values).any():
         raise RangeError("%s labels must be integers" % name)
     return labels

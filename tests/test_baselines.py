@@ -82,7 +82,7 @@ def test_nn1_chunks_match_the_full_distance_matrix(monkeypatch, chunk):
     X_s = rng.integers(-2, 3, size=(40, 3)).astype(float)
     src = labeled(X_s, np.arange(40))
     X_t = rng.integers(-2, 3, size=(50, 3)).astype(float)
-    monkeypatch.setattr(pas.baselines, "NN1_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(pas.baselines, "BLOCK_ROWS", chunk)
     got = nn1_classify(src, X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
     assert nn1_classify(src, X_t[:0]).shape == (0,)
@@ -227,7 +227,7 @@ def test_nn1_memory_is_one_float64_block(translation):
     rng = np.random.default_rng(1)
     src = labeled(rng.normal(size=(n, d)), np.arange(n) % 10)
     X_t = rng.normal(size=(m, d)) + translation * rng.normal(size=d)
-    block = pas.baselines.NN1_CHUNK_ROWS * n * 8
+    block = pas.baselines.BLOCK_ROWS * n * 8
     assert traced_peak(lambda: nn1_classify(src, X_t)) <= block + 4 * n * d * 8
 
 
@@ -242,7 +242,7 @@ def test_nn1_memory_is_the_source_and_one_tile(n):
     rng = np.random.default_rng(7)
     src = labeled(rng.normal(size=(n, d)), np.arange(n) % 10)
     X_t = rng.normal(size=(m, d)) + 0.3
-    chunk, tile = pas.baselines.NN1_CHUNK_ROWS, pas.baselines.NN1_TILE_COLS
+    chunk, tile = pas.baselines.BLOCK_ROWS, pas.baselines.NN1_TILE_COLS
     bound = (n + tile) * (d + 1) * 8 + chunk * (tile + 2 * d + 1) * 8
     assert traced_peak(lambda: nn1_classify(src, X_t)) <= bound
 
@@ -307,11 +307,11 @@ def test_compute_distances_with_memo_memory_is_linear_in_rows():
 @pytest.mark.parametrize("centers", [50, 200])
 def test_kliep_memory_is_linear_in_rows_and_centers(centers):
     # kliep_fit holds the (n, centers) source kernel and one
-    # KLIEP_BLOCK_ROWS-row block of the target kernel, never an (m, centers)
+    # BLOCK_ROWS-row block of the target kernel, never an (m, centers)
     # or (m, n) one: the same bound at m = n and m = 4n, plus (n,) vectors
     # of the ascent and the centres with their pairwise distances
     n, d = 4096, 64
-    block = pas.diagnostics.KLIEP_BLOCK_ROWS
+    block = pas.diagnostics.BLOCK_ROWS
     bound = (n + block) * centers * 8 + (8 * n + centers * (d + centers)) * 8
     for m in (n, 4 * n):
         rng = np.random.default_rng(5)

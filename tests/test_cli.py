@@ -589,25 +589,61 @@ def _outputs_argv(command, data_prefix, model, out, last):
                 "--out-model", str(out / "m.json"), "--trace-csv", last]
     if command == "synth":
         return synth_args(str(out / "d"))
+    if command == "predict":
+        return ["predict", "--model", model, "--features", inputs[3], "--out", last]
+    if command == "bench":
+        return ["bench", "--suite", "closed", "--seeds", "2", "--out-csv", last]
     return ["diagnose", *inputs, "--model", model,
             "--true-labels", data_prefix + "_target_labels.csv",
             "--out", str(out / "r.json"), "--out-csv", last]
 
 
-@pytest.mark.parametrize("command", ["fit", "synth", "diagnose"])
-def test_an_output_that_is_a_directory_leaves_no_output(tmp_path, capsys, command):
-    # the last output (the trace CSV, the target features, the CSV rows) is
-    # an existing directory: the command exits 2 before it writes anything
+@pytest.mark.parametrize("command", ["fit", "synth", "diagnose", "predict", "bench"])
+def test_an_output_that_is_a_directory_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # the last output (the trace CSV, the target features, the CSV rows,
+    # the labels, the bench CSV) is an existing directory: the command
+    # exits 2 before it reads or writes anything; bench runs no seed
     prefix = make_data(tmp_path / "in", per_class=40)
     model, _ = run_fit(tmp_path / "in", prefix)
     out = tmp_path / "out"
     busy = out / ("d_target.csv" if command == "synth" else "busy")
     busy.mkdir(parents=True)
     capsys.readouterr()
+
+    def no_seed(suite, seed):
+        raise AssertionError("bench ran seed %d" % seed)
+
+    monkeypatch.setattr(cli, "_bench_one", no_seed)
     assert main(_outputs_argv(command, prefix, model, out, str(busy))) == 2
     assert os.listdir(out) == [busy.name]
     assert capsys.readouterr().err == (
         "error: output is a directory: %s\n" % busy)
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("first, last", [
+    ("x", "x"), ("x", "./x"), ("x", "link/x")], ids=["same", "dot", "symlink"])
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, monkeypatch, command,
+                                            first, last):
+    # the model (report) and the trace (CSV rows) name one file, spelled
+    # alike, through "." or through a link to the directory: the command
+    # exits 2 before it writes anything, and the file keeps its bytes
+    prefix = make_data(tmp_path / "in", per_class=40)
+    model, _ = run_fit(tmp_path / "in", prefix)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "link").symlink_to(".")
+    (out / "x").write_bytes(b"old\n")
+    monkeypatch.chdir(out)
+    argv = _outputs_argv(command, prefix, model, out, last)
+    argv[argv.index(str(out / ("m.json" if command == "fit" else "r.json")))] = first
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert sorted(os.listdir(out)) == ["link", "x"]
+    assert (out / "x").read_bytes() == b"old\n"
+    assert capsys.readouterr().err == (
+        "error: outputs %s and %s name one file\n" % (first, last))
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose"])

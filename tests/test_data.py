@@ -13,7 +13,7 @@ import pytest
 
 from pas import data
 from pas.data import (
-    IO_BLOCK_ROWS,
+    BLOCK_ROWS,
     Shift,
     SynthConfig,
     atomic_write_bytes,
@@ -132,7 +132,7 @@ def test_blocked_files_match_whole_file_oracles(tmp_path):
     # the whole file's text and PASM bytes, as save_features once built
     # them, are the oracles for its blocks, here past two block boundaries
     # and from a matrix that is not C-ordered
-    X = np.asfortranarray(np.random.default_rng(2).normal(size=(2 * IO_BLOCK_ROWS + 1, 3)))
+    X = np.asfortranarray(np.random.default_rng(2).normal(size=(2 * BLOCK_ROWS + 1, 3)))
     p = tmp_path / "f"
     save_features(str(p), X)
     assert p.read_bytes() == csv_oracle(X)
@@ -172,7 +172,7 @@ def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fm
     # and the child's) plus the matrix they are joined into
     X = np.random.default_rng(3).normal(size=(8192, 64))
     # repr of a float64 takes at most 24 characters, plus its separator
-    block = IO_BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
+    block = BLOCK_ROWS * X.shape[1] * (25 if fmt == "csv" else 8)
     p = str(tmp_path / "f")
     for cpus in (1, 2):
         forks = allow_cpus(monkeypatch, cpus)
@@ -185,7 +185,7 @@ def test_feature_io_memory_is_the_matrix_and_one_block(tmp_path, monkeypatch, fm
 
 # rows of 64 columns, and the fewest of them whose estimated CSV text
 # (CSV_CELL_BYTES a cell) reaches the gate
-ROWS = np.random.default_rng(8).normal(scale=3, size=(2 * IO_BLOCK_ROWS + 1, 64))
+ROWS = np.random.default_rng(8).normal(scale=3, size=(2 * BLOCK_ROWS + 1, 64))
 GATE_ROWS = -(-data.CSV_SPLIT_BYTES // (data.CSV_CELL_BYTES * 64))
 
 
@@ -194,7 +194,7 @@ GATE_ROWS = -(-data.CSV_SPLIT_BYTES // (data.CSV_CELL_BYTES * 64))
     (ROWS[:0], 0),                                  # zero rows: one "\n"
     (ROWS[:GATE_ROWS - 1], 0),                      # just below the gate
     (ROWS[:GATE_ROWS], 1),                          # just above it
-    (np.hstack([ROWS[:IO_BLOCK_ROWS]] * 2), 0),     # above it, but one block
+    (np.hstack([ROWS[:BLOCK_ROWS]] * 2), 0),        # above it, but one block
     (np.asfortranarray(ROWS), 1)],                  # three blocks, not C-ordered
     ids=["zero_rows", "below_gate", "above_gate", "one_block", "fortran"])
 def test_csv_save_is_the_one_process_save(tmp_path, monkeypatch, X, forks):
@@ -216,7 +216,7 @@ def test_csv_save_formats_what_a_dead_child_did_not_send(tmp_path, monkeypatch, 
     # the child of a two-CPU save exits 1 before it sends its first block,
     # or part way through it, or after sending all of it; this process
     # formats every block the child did not send, so the bytes are the same
-    X = np.random.default_rng(9).normal(size=(3 * IO_BLOCK_ROWS + 5, 64))
+    X = np.random.default_rng(9).normal(size=(3 * BLOCK_ROWS + 5, 64))
     forks = allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(pickle, "dump", _dump_prefix(sent))
     p = tmp_path / "f.csv"
@@ -248,7 +248,7 @@ def test_failed_csv_save_leaves_no_child_nor_temp_file(tmp_path, monkeypatch):
         return fh
 
     monkeypatch.setattr(data, "open", full_disk_open, raising=False)
-    X = np.random.default_rng(10).normal(size=(2 * IO_BLOCK_ROWS + 1, 64))
+    X = np.random.default_rng(10).normal(size=(2 * BLOCK_ROWS + 1, 64))
     with pytest.raises(OSError) as failed:
         save_features(str(tmp_path / "f.csv"), X)
     assert failed.value.errno == errno.ENOSPC and len(forks) == 1
@@ -592,6 +592,17 @@ def test_save_labels_round_trip(tmp_path):
     assert load_labels(str(p)).tolist() == [2, 0, 1, 2]
 
 
+@pytest.mark.parametrize("labels", [
+    [1.5, 2], [-1, 2], np.array([[1, 2]]), [], [2 ** 63], [2 ** 64], [np.nan], ["a"]],
+    ids=["fraction", "negative", "2d", "empty", "above_max", "beyond_64_bits", "nan",
+         "string"])
+def test_save_labels_refuses_what_load_labels_rejects(tmp_path, labels):
+    p = tmp_path / "l.txt"
+    with pytest.raises(RangeError):
+        save_labels(str(p), labels)
+    assert os.listdir(tmp_path) == []
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def base_cfg(**kw):
@@ -698,6 +709,30 @@ def test_rotation_preserves_norms():
         ns = np.linalg.norm(src.features[src.labels == k].mean(axis=0))
         nt = np.linalg.norm(tgt.features[tgt.true_labels == k].mean(axis=0))
         assert nt == pytest.approx(ns, rel=1e-9)
+
+
+def test_atomic_outputs_refuses_a_directory_or_one_file_twice(tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for paths, error in [(("a", "d"), IsADirectoryError), (("a", "b", "./a"), ConfigError)]:
+        with pytest.raises(error):
+            with data.atomic_outputs(*paths):
+                raise AssertionError("the block ran")
+    assert os.listdir(tmp_path) == ["d"]
+
+
+def test_a_forked_child_never_commits_or_removes_a_temp_file(tmp_path, monkeypatch):
+    # a child forked inside the block leaves by os._exit: only this process
+    # renames the temp file, once, when the block is done
+    monkeypatch.setattr(data, "usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    with data.atomic_outputs(str(out)) as (tmp,):
+        with open(tmp, "w") as fh:
+            fh.write("text\n")
+        assert list(data.forked_map(os.path.exists, [tmp, tmp])) == [True, True]
+        assert os.listdir(tmp_path) == [os.path.basename(tmp)]
+    assert os.listdir(tmp_path) == ["out"]
+    assert out.read_text() == "text\n"
 
 
 def test_failed_atomic_write_leaves_no_temp_file(tmp_path):

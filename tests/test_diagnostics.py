@@ -6,7 +6,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import pas
 from pas import PasConfig, SourceLabels
-from pas.diagnostics import (ASCENT_TOL, KLIEP_BLOCK_ROWS, LOG_FLOOR, MAX_ASCENT_STEPS,
+from pas.diagnostics import (ASCENT_TOL, BLOCK_ROWS, LOG_FLOOR, MAX_ASCENT_STEPS,
                              MAX_STEP_SCALINGS, DensityRatioModel,
                              _feasible_ascent_direction, adr, anchoring_report,
                              kliep_fit)
@@ -199,8 +199,8 @@ def materialised_kliep_fit(X_src, X_tgt, num_centers, bandwidth, seed):
 # below, at and one row past a block, and several blocks; one centre
 # (whose column numpy sums pairwise), two and many; median and given widths
 ORACLE_GRID = [(m, centers, width)
-               for m in (2, KLIEP_BLOCK_ROWS - 1, KLIEP_BLOCK_ROWS,
-                         KLIEP_BLOCK_ROWS + 1, 3 * KLIEP_BLOCK_ROWS + 5)
+               for m in (2, BLOCK_ROWS - 1, BLOCK_ROWS,
+                         BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
                for centers in (1, 2, 100) for width in ("median", "given")
                if (centers, width) != (1, "median")]
 
@@ -211,7 +211,7 @@ ORACLE_GRID = [(m, centers, width)
        bandwidth=st.floats(0.3, 5.0), shift=st.sampled_from([0.0, 0.5, 2.0]))
 def test_kliep_blocks_match_materialised_oracle(m, num_centers, width, seed, n,
                                                 d, bandwidth, shift):
-    # the target kernel taken KLIEP_BLOCK_ROWS rows at a time, and each
+    # the target kernel taken BLOCK_ROWS rows at a time, and each
     # kernel built in place, give the bits of the materialised fit
     rng = np.random.default_rng(seed)
     X_tgt = rng.normal(size=(m, d))

@@ -650,7 +650,7 @@ def test_nn1_matches_cdist_oracle(seed, kind, n, m, d, offset, scale, chunk):
     source = LabeledDataset(features=X_s, labels=np.arange(X_s.shape[0]),
                             num_classes=X_s.shape[0])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(baselines, "NN1_CHUNK_ROWS", chunk)
+        mp.setattr(baselines, "BLOCK_ROWS", chunk)
         got = baselines.nn1_classify(source, X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
 
@@ -672,7 +672,7 @@ def test_nn1_tiles_match_cdist_oracle(seed, kind, n, m, d, offset, scale, tile,
                             num_classes=X_s.shape[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "NN1_TILE_COLS", tile)
-        mp.setattr(baselines, "NN1_CHUNK_ROWS", chunk)
+        mp.setattr(baselines, "BLOCK_ROWS", chunk)
         got = baselines.nn1_classify(source, X_t)
     assert np.array_equal(got, np.argmin(cdist(X_t, X_s), axis=1))
 
