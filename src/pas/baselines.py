@@ -60,70 +60,60 @@ def cdist(XA, XB):
     return scipy_cdist(XA, XB)
 
 
-def _best_two(score):
-    """Each row's lowest-scoring index (ties to the lowest), its score and
-    the runner-up score, both as float64; score is left as it was."""
-    rows = np.arange(score.shape[0])
-    best = np.argmin(score, axis=1)
-    best_score = score[rows, best]
-    score[rows, best] = np.inf
-    runner_up = score.min(axis=1)
-    score[rows, best] = best_score
-    return best, best_score.astype(float), runner_up.astype(float)
+def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1):
+    """Score the target rows X_t[rows] in dtype against S1 = [s', ||s'||^2]
+    at the scales 2^k_raw and 2^k (NN1_TIE_REL), each tile of NN1_TILE_COLS
+    source rows cast once and scored BLOCK_ROWS target rows at a time.
 
-
-def _score_blocks(dtype, rows, X_t, k_raw, mu, k, S1, nearest):
-    """Score the target rows X_t[rows] in dtype, BLOCK_ROWS at a time,
-    against S1 = [s', ||s'||^2] at the scales 2^k_raw and 2^k
-    (NN1_TIE_REL), in tiles of NN1_TILE_COLS source rows, each cast to
-    dtype into one reused buffer and scored into one tile buffer, and set
-    nearest to each row's best.
-
-    Yields per block its rows, the positions in it of the rows whose
-    runner-up lies within the tie bound, the block's left operand
-    [-2t', 1] (overwritten by the next block) and each row's best score
-    plus its bound."""
-    n, d = S1.shape[0], S1.shape[1] - 1
+    Returns each row's best index, whether its runner-up lies within the
+    tie bound, the operand T = [-2t', 1] of the rows in dtype, and each
+    row's best score plus its bound."""
+    m, n, d = rows.size, S1.shape[0], S1.shape[1] - 1
     eps, tiny = float(np.finfo(dtype).eps), float(np.finfo(dtype).tiny)
-    s_norm_max = np.sqrt(S1[:, d].max())
-    T = np.ones((min(BLOCK_ROWS, rows.size), d + 1), dtype=dtype)
-    t = np.empty((T.shape[0], d))
-    tile = np.empty(T.shape[0] * min(NN1_TILE_COLS, n), dtype=dtype)
+    T = np.ones((m, d + 1), dtype=dtype)
+    t_norm = np.empty(m)
+    for start in range(0, m, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        # t scaled by 2^k_raw is the recheck's row; mu - t and the scaling by
+        # 2^(k + 1) are exact, so the product adds -2t''s' to ||s'||^2 as cast
+        t = np.ldexp(X_t[rows[block]], k_raw)
+        T[block, :d] = np.ldexp(np.subtract(mu, t, out=t), k + 1, out=t)
+        # ||t'||, with t = -2t'
+        t_norm[block] = 0.5 * np.sqrt(np.einsum("ij,ij->i", t, t))
+    best = np.zeros(m, dtype=np.intp)
+    best_score, runner_up = np.full(m, np.inf), np.full(m, np.inf)
     S = np.empty((min(NN1_TILE_COLS, n), d + 1), dtype=dtype)
-    for start in range(0, rows.size, BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        b = block.size
-        # t scaled by 2^k_raw is the recheck's row; mu - t and the scaling
-        # by 2^(k + 1) are exact, so the product adds -2t''s' to ||s'||^2 as
-        # cast; take's default mode would copy through a second buffer
-        np.take(X_t, block, axis=0, out=t[:b], mode="clip")
-        np.ldexp(t[:b], k_raw, out=t[:b])
-        T[:b, :d] = np.ldexp(np.subtract(mu, t[:b], out=t[:b]), k + 1, out=t[:b])
-        best = np.zeros(b, dtype=np.intp)
-        best_score, runner_up = np.full(b, np.inf), np.full(b, np.inf)
-        for j in range(0, n, NN1_TILE_COLS):
+    tile = np.empty(min(BLOCK_ROWS, m) * S.shape[0], dtype=dtype)
+    # a pass over no rows casts no tile
+    for j in range(0, n if m else 0, NN1_TILE_COLS):
+        width = min(NN1_TILE_COLS, n - j)
+        S[:width] = S1[j:j + width]
+        for start in range(0, m, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            top, low, second = best[block], best_score[block], runner_up[block]
             # contiguous at any width: into a strided view, matmul would
             # compute a temporary and copy it
-            width = min(NN1_TILE_COLS, n - j)
-            score = tile[:b * width].reshape(b, width)
-            S[:width] = S1[j:j + width]
-            np.matmul(T[:b], S[:width].T, out=score)
-            i, s, r = _best_two(score)
+            score = tile[:low.size * width].reshape(low.size, width)
+            np.matmul(T[block], S[:width].T, out=score)
+            # each row's lowest score (ties to the lowest index), then the
+            # lowest once that one is masked, both as float64
+            i, at = np.argmin(score, axis=1), np.arange(low.size)
+            s = score[at, i].astype(float)
+            score[at, i] = np.inf
+            r = score.min(axis=1).astype(float)
             # a tile's best wins only on a strictly lower score, so ties go
             # to the lowest index; the runner-up takes the lower of the two
             # bests and both runners-up, so a NaN anywhere reaches it
-            won = s < best_score
-            np.minimum(runner_up, r, out=runner_up)
-            np.minimum(runner_up, np.where(won, best_score, s), out=runner_up)
-            best[won] = i[won] + j
-            best_score[won] = s[won]
-        # R' = ||t'|| + max ||s'||, with t[:b] = -2t'
-        R = 0.5 * np.sqrt(np.einsum("ij,ij->i", t[:b], t[:b])) + s_norm_max
-        tau = NN1_TIE_REL * ((d + 4) * eps * R ** 2 + (d + 1) * tiny * (R + 1.0))
-        nearest[block] = best
-        # written as "not beyond" so that a NaN is never taken as decided
-        yield (block, np.flatnonzero(~(runner_up - best_score > tau)), T[:b],
-               best_score + tau)
+            won = s < low
+            np.minimum(second, r, out=second)
+            np.minimum(second, np.where(won, low, s), out=second)
+            top[won] = i[won] + j
+            low[won] = s[won]
+    # R' = ||t'|| + max ||s'||
+    R = t_norm + np.sqrt(S1[:, d].max())
+    tau = NN1_TIE_REL * ((d + 4) * eps * R ** 2 + (d + 1) * tiny * (R + 1.0))
+    # written as "not beyond" so that a NaN is never taken as decided
+    return best, ~(runner_up - best_score > tau), T, best_score + tau
 
 
 def nn1_classify(source, X_t):
@@ -146,13 +136,12 @@ def nn1_classify(source, X_t):
        and decided by cdist against every source row within the bound of
        its best.
 
-    Each pass scores data.BLOCK_ROWS (1,024) target rows at a time, the
-    block size of every blocked pass in pas, against tiles of
-    NN1_TILE_COLS source rows, into one tile buffer freed before the next
-    pass, and keeps each row's best index, best score and runner-up score
-    across the tiles.  Memory stays at the scaled source, one tile of its
-    rows in the pass's precision and one BLOCK_ROWS x NN1_TILE_COLS
-    float64 tile, whatever m and n.
+    Each pass sweeps the tiles of NN1_TILE_COLS source rows once, casting
+    each to the pass's precision once, and scores it against every
+    data.BLOCK_ROWS block of the pass's rows, keeping each row's best
+    index, best score and runner-up across the tiles.  Beside the inputs
+    it holds the scaled source, the pass's operand [-2t', 1], one cast
+    tile and one BLOCK_ROWS x NN1_TILE_COLS tile of scores, never m x n.
     An empty source raises EmptySelection, and a label count other than
     one per source row RangeError.
     """
@@ -163,9 +152,8 @@ def nn1_classify(source, X_t):
         raise EmptySelection("1NN needs at least one source row")
     labels = check_labels(source.labels, n, "source")
     m = X_t.shape[0]
-    nearest = np.empty(m, dtype=np.intp)
     if m == 0:
-        return labels[nearest]
+        return labels[:0]
     # every tier works on the rows scaled by 2^k_raw, which puts their
     # largest magnitude in [0.5, 1): no square under- or overflows in the
     # recheck, and no mean or centred entry overflows
@@ -184,18 +172,17 @@ def nn1_classify(source, X_t):
     k = 60 - e - int(np.frexp(2.0 * np.linalg.norm(np.ldexp(span, -e)))[1])
     np.ldexp(np.subtract(S, mu, out=S), k, out=S)
     np.einsum("ij,ij->i", S, S, out=s_sq)
-    args = (X_t, k_raw, mu, k, S1, nearest)
-
-    def recheck(i, cand):
-        dist = cdist(np.ldexp(X_t[i:i + 1], k_raw), np.ldexp(X_s[cand], k_raw))[0]
-        nearest[i] = cand[np.argmin(dist)]
-
-    undecided = np.concatenate([block[tied] for block, tied, _, _ in
-                                _score_blocks(np.float32, np.arange(m), *args)])
-    for block, tied, T, bound in _score_blocks(np.float64, undecided, *args):
-        for i in tied:
-            # one product rescores the row against every source row
-            recheck(block[i], np.flatnonzero(~(S1 @ T[i] > bound[i])))
+    args = (X_t, k_raw, mu, k, S1)
+    nearest, tied = _score_blocks(np.float32, np.arange(m), *args)[:2]
+    rows = np.flatnonzero(tied)
+    nearest[rows], tied, T, bound = _score_blocks(np.float64, rows, *args)
+    for i in np.flatnonzero(tied):
+        # one product rescores the row against every source row, and cdist
+        # decides among those within the bound of its best
+        cand = np.flatnonzero(~(S1 @ T[i] > bound[i]))
+        dist = cdist(np.ldexp(X_t[rows[i]:rows[i] + 1], k_raw),
+                     np.ldexp(X_s[cand], k_raw))[0]
+        nearest[rows[i]] = cand[np.argmin(dist)]
     return labels[nearest]
 
 

@@ -67,7 +67,11 @@ def cmd_fit(args):
             for row, rec in zip(rows, trace):
                 row.append(float(rec.pseudo_accuracy))
         _write_csv(trace_out, header, rows)
-        return 0
+    for rec in trace:
+        if not rec.converged:
+            print("warning: stage %d did not converge in %d inner iterations"
+                  % (rec.stage, rec.inner_iters), file=sys.stderr)
+    return 0
 
 
 def cmd_predict(args):

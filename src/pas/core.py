@@ -172,6 +172,8 @@ class StageRecord:
     threshold: float
     anchored: int
     objective: float
+    inner_iters: int     # len(history) of the stage's inner_solve
+    converged: bool      # whether that history met _converged
     pseudo_accuracy: float | None = None
 
 
@@ -421,11 +423,15 @@ def inner_solve(X_s, labels, X_t, lam, warm_state, config, _refits):
         v = anchor(c, lam)
         state = AnchorState(assigned, v, lam, c, len(_refits.sources))
         history.append(_objective_value(_refits.source_total(), c, v, lam))
-        if len(history) >= 2:
-            prev = history[-2]
-            if abs(history[-1] - prev) <= config.inner_tol * max(1.0, abs(prev)):
-                break
+        if _converged(history, config):
+            break
     return model, state, history
+
+
+def _converged(history, config):
+    """The stopping rule: the last two objectives agree to inner_tol."""
+    return (len(history) >= 2 and abs(history[-1] - history[-2])
+            <= config.inner_tol * max(1.0, abs(history[-2])))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -437,7 +443,9 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
     later stage raises the threshold to the quantile of the current
     assigned distances for fraction step, 2*step, ..., 1.0, warm-starting
     the inner solver from the previous stage.  The threshold never
-    decreases across stages.  With eval_labels given, each stage records
+    decreases across stages.  Each stage records its inner iterations (a
+    no-change exit counts as one) and whether it met the stopping rule
+    before inner_max_iters.  With eval_labels given, each stage records
     the pseudo-label accuracy of the current assignments.
     """
     config = config or PasConfig()
@@ -461,7 +469,9 @@ def fit_progressive(X_s, labels, X_t, config=None, eval_labels=None):
             np.mean(state.assigned == eval_labels))
         trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
                                  anchored=int(state.anchors.sum()),
-                                 objective=history[-1], pseudo_accuracy=acc))
+                                 objective=history[-1], inner_iters=len(history),
+                                 converged=_converged(history, config),
+                                 pseudo_accuracy=acc))
     return model, trace
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, ParseError, RangeError, check_count,
-                     check_labels, check_matrix, check_real)
+from .errors import (ConfigError, DimensionMismatch, ParseError, RangeError,
+                     check_count, check_labels, check_matrix, check_real)
 
 # class blobs get one elongated principal direction so rank-1 subspaces
 # capture real structure rather than noise
@@ -211,31 +211,18 @@ def forked_map(fn, items):
     """Yield fn(item) for each item of the sequence items, in order.
 
     In w processes, one per usable CPU and at most one per item, this one
-    computes items 0, w, 2w, ... and forked child i items i, i + w, ....
-    An item a child does not send (it raised or died, or its pipe or fork
-    failed) is computed here, so the results, or the error, are map's."""
+    computes items 0, w, 2w, ... and forked child i items i, i + w, ...,
+    pickled into its own pipe, each flushed at once, up to the first that
+    raises; a full pipe stops it until this process reads.  An item a
+    child does not send (it raised or died, or its pipe or fork failed) is
+    computed here, so the results, or the error, are map's.  When the
+    generator ends or is closed every child is killed and reaped; a child
+    whose parent is gone fails at its next write."""
     w = min(usable_cpus(), len(items))
-    with _forked(fn, [items[i::w] for i in range(1, w)]) as sources:
-        for i, item in enumerate(items):
-            if i % w:
-                with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                    yield pickle.load(sources[i % w - 1])
-                    continue
-            yield fn(item)
-
-
-@contextlib.contextmanager
-def _forked(fn, shares):
-    """Fork one child per share, which pickles fn(item) for each item of
-    the share, flushed at once, up to the first that raises, into its own
-    pipe, holding no read end, then os._exit; a full pipe stops it until
-    this process reads.  Yield the read ends, in share order; a share whose
-    pipe or fork fails (EMFILE, EAGAIN, ENOMEM) gets one that reads as
-    empty.  On exit every child is killed and reaped.  A child's next write
-    fails once this process is gone, so no child outlives it for long."""
     pids, sources = [], []
     try:
-        for share in shares:
+        for i in range(1, w):
+            # a pipe or fork that fails leaves a source that reads as empty
             sources.append(io.BytesIO())
             with contextlib.suppress(OSError):
                 read_end, write_end = os.pipe()
@@ -244,15 +231,21 @@ def _forked(fn, shares):
                     pid = os.fork()
                     if pid == 0:
                         try:
+                            # only this process holds a read end
                             for source in sources:
                                 source.close()
-                            for item in share:
+                            for item in items[i::w]:
                                 pickle.dump(fn(item), sink, pickle.HIGHEST_PROTOCOL)
                                 sink.flush()
                         finally:
                             os._exit(0)
                     pids.append(pid)
-        yield sources
+        for i, item in enumerate(items):
+            if i % w:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    yield pickle.load(sources[i % w - 1])
+                    continue
+            yield fn(item)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -312,8 +305,13 @@ def save_features(path, X, fmt="csv"):
     (CSV_CELL_BYTES per cell) has its blocks formatted by forked_map, in
     this process and in forked children, and written in order, so the
     bytes are those of the one-process write.  No child outlives the call,
-    an error's included."""
+    an error's included.  A matrix that is not 2-D raises
+    DimensionMismatch, and nothing is written."""
     X = np.asarray(X, dtype=float)
+    # NaN and Inf are written as they are, so check_matrix does not apply
+    if X.ndim != 2:
+        raise DimensionMismatch("%s: features must be 2-D, got ndim=%d"
+                                % (path, X.ndim))
     if fmt == "csv":
         blocks = _csv_blocks(X)
     elif fmt == "bin":

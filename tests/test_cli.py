@@ -16,6 +16,7 @@ from pas.cli import main
 from pas.data import load_features, load_labels, save_features
 from pas.errors import ParseError
 from conftest import assert_no_child_left, read_text
+from test_properties import suite_pair
 
 
 def synth_args(prefix, classes=3, dim=5, per_class=20, rotation=0.3,
@@ -73,6 +74,42 @@ def test_fit_step_one_gives_two_stages(tmp_path):
     _, trace = run_fit(tmp_path, prefix, step="1.0")
     lines = read_text(trace).strip().split("\n")
     assert len(lines) == 3  # header + 2 stages
+
+
+def _closed_fit(tmp_path):
+    """The exit status of pas fit at its defaults on the files of
+    suite_pair("closed")."""
+    prefix = make_data(tmp_path, dim=8, per_class=300, rotation=0.2,
+                       translation=2.5, noise=1.5)
+    return main(["fit", "--source", prefix + "_source.csv",
+                 "--labels", prefix + "_source_labels.csv",
+                 "--target", prefix + "_target.csv",
+                 "--out-model", str(tmp_path / "model.json"),
+                 "--trace-csv", str(tmp_path / "trace.csv")])
+
+
+def test_default_fit_converges_silently(tmp_path, capsys):
+    source, target, labels, config = suite_pair("closed")
+    _, trace = pas.fit_progressive(source.features, labels, target.features, config)
+    assert len(trace) == 101 and all(rec.converged for rec in trace)
+    capsys.readouterr()
+    assert _closed_fit(tmp_path) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_fit_names_each_unconverged_stage_on_stderr(tmp_path, capsys, monkeypatch):
+    # with one inner iteration no stage can meet the stopping rule, which
+    # compares two objectives: every record says so, and pas fit names
+    # every stage on stderr and still exits 0
+    monkeypatch.setattr(pas.core.PasConfig, "inner_max_iters", 1)
+    source, target, labels, config = suite_pair("closed")
+    _, trace = pas.fit_progressive(source.features, labels, target.features, config)
+    assert [(rec.inner_iters, rec.converged) for rec in trace] == [(1, False)] * 101
+    capsys.readouterr()
+    assert _closed_fit(tmp_path) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: stage %d did not converge in 1 inner iterations" % s
+        for s in range(101)]
 
 
 def test_fit_rerun_byte_identical(tmp_path):

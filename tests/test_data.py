@@ -25,7 +25,8 @@ from pas.data import (
     save_labels,
     synth_shifted_pair,
 )
-from pas.errors import ConfigError, NonFinite, ParseError, RangeError
+from pas.errors import (ConfigError, DimensionMismatch, NonFinite, ParseError,
+                        RangeError)
 from conftest import assert_no_child_left
 from test_baselines import traced_peak
 
@@ -497,6 +498,15 @@ def test_save_features_unknown_format(tmp_path):
     with pytest.raises(ConfigError):
         save_features(str(p), np.ones((2, 2)), fmt="hdf5")
     assert not p.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()], ids=["1d", "3d", "0d"])
+def test_save_features_refuses_a_matrix_that_is_not_2d(tmp_path, fmt, shape):
+    # a 1-D array once raised a bare TypeError (CSV) or IndexError (bin)
+    with pytest.raises(DimensionMismatch, match="must be 2-D"):
+        save_features(str(tmp_path / "f"), np.ones(shape), fmt=fmt)
+    assert os.listdir(tmp_path) == []
 
 
 def test_labels_remapped_contiguous(tmp_path):

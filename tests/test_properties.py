@@ -233,9 +233,14 @@ def replicate_progressive(Xs, labels, Xt, config, eval_labels=None):
         if eval_labels is not None:
             acc = float(np.mean(np.argmax(state.memberships, axis=1)
                                 == eval_labels))
+        # replicate_inner stops only by the rule or at the cap
+        converged = len(history) < config.inner_max_iters or (
+            len(history) >= 2 and abs(history[-1] - history[-2])
+            <= config.inner_tol * max(1.0, abs(history[-2])))
         trace.append(StageRecord(stage=s, fraction=fraction, threshold=lam,
                                  anchored=int(state.anchors.sum()),
-                                 objective=history[-1], pseudo_accuracy=acc))
+                                 objective=history[-1], inner_iters=len(history),
+                                 converged=converged, pseudo_accuracy=acc))
         histories.append(history)
     return model, trace, histories
 
@@ -257,7 +262,8 @@ def assert_fit_matches_oracle(monkeypatch, Xs, labels, Xt, config,
     assert isinstance(trace, list)
     # the solver recomputes only the distance columns of refitted classes,
     # which moves the last bits of those columns against a full recompute
-    exact = ("stage", "fraction", "anchored", "pseudo_accuracy")
+    exact = ("stage", "fraction", "anchored", "inner_iters", "converged",
+             "pseudo_accuracy")
     assert ([[getattr(r, name) for name in exact] for r in trace]
             == [[getattr(r, name) for name in exact] for r in oracle_trace])
     for name in ("threshold", "objective"):
@@ -687,12 +693,10 @@ def test_nn1_equal_rows_in_two_tiles_go_to_the_recheck(monkeypatch):
     score_blocks, passes, rechecked = baselines._score_blocks, [], []
 
     def recording_blocks(dtype, rows, *args):
-        nearest = args[-1]
-        for out in score_blocks(dtype, rows, *args):
-            block, tied = out[0], out[1]
-            passes.append((np.dtype(dtype).name, nearest[block].tolist(),
-                           block[tied].tolist()))
-            yield out
+        out = score_blocks(dtype, rows, *args)
+        best, tied = out[0], out[1]
+        passes.append((np.dtype(dtype).name, best.tolist(), rows[tied].tolist()))
+        return out
 
     def counting_cdist(XA, XB):
         rechecked.append(XB.shape[0])
